@@ -14,10 +14,11 @@ as a CI gate), 1 = any error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from . import __version__
 from .clustering import kmeans_fit
@@ -67,6 +68,8 @@ def _parse_lambdas(raw: str) -> list[float]:
         raise ValueError(f"could not parse lambda grid {raw!r}")
     if not values:
         raise ValueError("lambda grid is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"lambda grid {raw!r} holds a non-finite value")
     return values
 
 
@@ -181,8 +184,17 @@ def _add_audit_flags(parser: argparse.ArgumentParser, with_lambdas: bool) -> Non
     parser.add_argument("--plot-data", help="optional per-(cluster,group) CSV path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, not argparse's 2, which
+    here means "bias found"."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logan", description="Audit a classifier for local group bias."
     )
     sub = parser.add_subparsers(dest="command", required=True)

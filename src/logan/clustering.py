@@ -27,6 +27,23 @@ sweep (or ``max_iter`` is hit):
     cluster keeps at least one other member are eligible; ties toward the
     lowest instance index).
 
+The sweep is evaluated in numpy blocks of consecutive visits, and is
+exact (bit-identical to the one-instance-at-a-time loop kept in
+``_sweep_sequential``) for four reasons.  Centroids are fixed during a
+sweep, and an unvisited instance keeps its cluster p until it is visited,
+so its distance part ``dist_scale * (D[i, q] - D[i, p])`` is fixed for the
+whole sweep.  The bias part depends on the running counts only through two
+(4, k) tables indexed by the instance's kind (group, correct): the reward
+lost by leaving p and the reward gained by joining q, both built with the
+same scalar arithmetic as the loop and added in the loop's order.  A move
+changes only the two table columns of the clusters it touches.  So every
+row of a block before its first mover sees exactly the state the loop
+would, ``argmin`` with the stay column set to 0.0 applies the loop's
+lowest-index tie-break, and after a move the sweep refreshes two columns
+and resumes right after the mover.  Deltas must be finite, because
+``argmin`` picks a NaN where the loop's ``<`` never does; squared
+distances that overflow are rejected before the sweep.
+
 Every accepted sweep move has non-positive delta and the centroid update
 can only lower the clustering loss, so the recorded per-iteration totals
 are non-increasing except across a re-seed, which is a forced assignment
@@ -257,6 +274,175 @@ def _sweep_sequential(
     return moves
 
 
+def _apply_move(
+    X: np.ndarray,
+    i: int,
+    p: int,
+    q: int,
+    group: int,
+    wi: int,
+    assign: list[int],
+    n1: list[int],
+    n2: list[int],
+    c1: list[int],
+    c2: list[int],
+    term: list[float],
+    sums: np.ndarray,
+) -> None:
+    """Move instance i (of ``group``, correct flag ``wi``) from cluster p
+    to q, updating the assignment and the running tallies in place."""
+    if group == 0:
+        n1[p] -= 1
+        c1[p] -= wi
+        n1[q] += 1
+        c1[q] += wi
+    else:
+        n2[p] -= 1
+        c2[p] -= wi
+        n2[q] += 1
+        c2[q] += wi
+    term[p] = _term(n1[p], n2[p], c1[p], c2[p])
+    term[q] = _term(n1[q], n2[q], c1[q], c2[q])
+    sums[p] -= X[i]
+    sums[q] += X[i]
+    assign[i] = q
+
+
+def _check_finite(dist: np.ndarray) -> None:
+    if not np.isfinite(dist).all():
+        raise ValueError(
+            "squared distances to the centroids overflow float64; "
+            "rescale the features (e.g. --standardize)"
+        )
+
+
+def _set_bias_column(
+    leave: np.ndarray,
+    join: np.ndarray,
+    j: int,
+    n1: Sequence[int],
+    n2: Sequence[int],
+    c1: Sequence[int],
+    c2: Sequence[int],
+    term: Sequence[float],
+    lam: float,
+) -> None:
+    """Fill column j of the bias tables from cluster j's counts.
+
+    Row ``2 * group + correct`` holds the bias part of the move delta for
+    an instance of that kind: ``leave`` when it leaves cluster j, ``join``
+    when it joins it (the same expressions as ``_sweep_sequential``)."""
+    a1, a2, b1, b2, t = n1[j], n2[j], c1[j], c2[j], term[j]
+    leave[:, j] = (
+        lam * (t - _term(a1 - 1, a2, b1, b2)),
+        lam * (t - _term(a1 - 1, a2, b1 - 1, b2)),
+        lam * (t - _term(a1, a2 - 1, b1, b2)),
+        lam * (t - _term(a1, a2 - 1, b1, b2 - 1)),
+    )
+    join[:, j] = (
+        lam * (t - _term(a1 + 1, a2, b1, b2)),
+        lam * (t - _term(a1 + 1, a2, b1 + 1, b2)),
+        lam * (t - _term(a1, a2 + 1, b1, b2)),
+        lam * (t - _term(a1, a2 + 1, b1, b2 + 1)),
+    )
+
+
+def _bias_tables(
+    n1: Sequence[int],
+    n2: Sequence[int],
+    c1: Sequence[int],
+    c2: Sequence[int],
+    term: Sequence[float],
+    lam: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    k = len(term)
+    leave = np.empty((4, k), dtype=np.float64)
+    join = np.empty((4, k), dtype=np.float64)
+    for j in range(k):
+        _set_bias_column(leave, join, j, n1, n2, c1, c2, term, lam)
+    return leave, join
+
+
+def _move_deltas(
+    dist_rows: np.ndarray,
+    own: np.ndarray,
+    kinds: np.ndarray,
+    leave: np.ndarray,
+    join: np.ndarray,
+    dist_scale: float,
+) -> np.ndarray:
+    """Objective delta of moving each row's instance from cluster ``own[r]``
+    to every other cluster, in the loop's order of operations; the own
+    column holds the loop's 0.0 for staying."""
+    rows = np.arange(len(own))
+    delta = dist_scale * (dist_rows - dist_rows[rows, own][:, None])
+    delta += leave[kinds, own][:, None]
+    delta += join[kinds]
+    delta[rows, own] = 0.0
+    return delta
+
+
+# Visits evaluated by the first block of a sweep.  Only speed depends on
+# it: most sweeps of a fit move few instances, so blocks grow long fast.
+_FIRST_BLOCK = 64
+
+
+def _sweep_blocked(
+    X: np.ndarray,
+    dist: np.ndarray,
+    assign: list[int],
+    n1: list[int],
+    n2: list[int],
+    c1: list[int],
+    c2: list[int],
+    term: list[float],
+    sums: np.ndarray,
+    g: np.ndarray,
+    w: np.ndarray,
+    lam: float,
+    dist_scale: float,
+    order: np.ndarray,
+) -> int:
+    """The assignment sweep of ``_sweep_sequential`` (same in-place updates,
+    bit-identical result; ``dist``, ``g``, ``w`` and ``order`` are arrays),
+    evaluated in blocks of visits: every row of a block before its first
+    mover stays put, the mover is applied, and the next block starts right
+    after it.  The block length doubles while no move is found and
+    restarts at twice the distance to the last move."""
+    _check_finite(dist)
+    own = np.array(assign, dtype=np.intp)
+    kinds = 2 * g.astype(np.intp) + w
+    leave, join = _bias_tables(n1, n2, c1, c2, term, lam)
+    n_visits = len(order)
+    moves = 0
+    start = 0
+    length = _FIRST_BLOCK
+    while start < n_visits:
+        idx = order[start : start + length]
+        own_blk = own[idx]
+        delta = _move_deltas(dist[idx], own_blk, kinds[idx], leave, join, dist_scale)
+        best = delta.argmin(axis=1)
+        moved = best != own_blk
+        r = int(moved.argmax())
+        if not moved[r]:
+            start += len(idx)
+            length *= 2
+            continue
+        i = int(idx[r])
+        p = int(own_blk[r])
+        q = int(best[r])
+        _apply_move(
+            X, i, p, q, int(g[i]), int(w[i]), assign, n1, n2, c1, c2, term, sums
+        )
+        own[i] = q
+        _set_bias_column(leave, join, p, n1, n2, c1, c2, term, lam)
+        _set_bias_column(leave, join, q, n1, n2, c1, c2, term, lam)
+        moves += 1
+        start += r + 1
+        length = 2 * (r + 1)
+    return moves
+
+
 def _fit_core(
     dataset: Dataset,
     centroids: np.ndarray,
@@ -275,7 +461,7 @@ def _fit_core(
     w_arr = dataset.correct_flags
     g = g_arr.tolist()
     w = w_arr.tolist()
-    order = range(n) if sweep_order is None else list(sweep_order)
+    order = np.arange(n) if sweep_order is None else np.asarray(sweep_order, np.intp)
 
     def tallies(assign_list: list[int]):
         aa = np.asarray(assign_list, dtype=np.int64)
@@ -329,21 +515,10 @@ def _fit_core(
             src = assign[best_i]
             sizes[src] -= 1
             sizes[e] += 1
-            if g[best_i] == 0:
-                n1[src] -= 1
-                c1[src] -= w[best_i]
-                n1[e] += 1
-                c1[e] += w[best_i]
-            else:
-                n2[src] -= 1
-                c2[src] -= w[best_i]
-                n2[e] += 1
-                c2[e] += w[best_i]
-            term[src] = _term(n1[src], n2[src], c1[src], c2[src])
-            term[e] = _term(n1[e], n2[e], c1[e], c2[e])
-            sums[src] -= X[best_i]
-            sums[e] += X[best_i]
-            assign[best_i] = e
+            _apply_move(
+                X, best_i, src, e, g[best_i], w[best_i],
+                assign, n1, n2, c1, c2, term, sums,
+            )
         for j in range(k):
             centroids[j] = sums[j] / sizes[j]
 
@@ -365,10 +540,9 @@ def _fit_core(
                 sizes, n1, n2, c1, c2, sums = tallies(assign)
                 term = [_term(n1[j], n2[j], c1[j], c2[j]) for j in range(k)]
         else:
-            dist_mat = cdist(X, centroids, "sqeuclidean")
-            moves = _sweep_sequential(
+            moves = _sweep_blocked(
                 X,
-                dist_mat.tolist(),
+                cdist(X, centroids, "sqeuclidean"),
                 assign,
                 n1,
                 n2,
@@ -376,8 +550,8 @@ def _fit_core(
                 c2,
                 term,
                 sums,
-                g,
-                w,
+                g_arr,
+                w_arr,
                 lam,
                 dist_scale,
                 order,
@@ -447,41 +621,18 @@ def best_single_move_delta(
     the model's centroids held fixed.  A converged fit yields >= 0 (no
     improving move survives at termination)."""
     stats = ClusterStats.from_assignment(dataset, model.assignment, model.centroids)
-    n = dataset.n
-    k = model.n_clusters
-    lam = cfg.lam
-    dist_scale = 1.0 / n if cfg.normalize_clustering_loss else 1.0
-    g = dataset.group_codes
-    w = dataset.correct_flags
-    dist_mat = cdist(dataset.feature_matrix, model.centroids, "sqeuclidean")
-    n1 = stats.group_counts[:, 0].tolist()
-    n2 = stats.group_counts[:, 1].tolist()
-    c1 = stats.correct_counts[:, 0].tolist()
-    c2 = stats.correct_counts[:, 1].tolist()
-    term = stats.gap_terms().tolist()
-    best = 0.0
-    for i in range(n):
-        p = int(model.assignment[i])
-        a = int(g[i])
-        wi = int(w[i])
-        if a == 0:
-            term_p_after = _term(n1[p] - 1, n2[p], c1[p] - wi, c2[p])
-        else:
-            term_p_after = _term(n1[p], n2[p] - 1, c1[p], c2[p] - wi)
-        base = lam * (term[p] - term_p_after)
-        dp = float(dist_mat[i, p])
-        for q in range(k):
-            if q == p:
-                continue
-            if a == 0:
-                term_q_after = _term(n1[q] + 1, n2[q], c1[q] + wi, c2[q])
-            else:
-                term_q_after = _term(n1[q], n2[q] + 1, c1[q], c2[q] + wi)
-            delta = (
-                dist_scale * (float(dist_mat[i, q]) - dp)
-                + base
-                + lam * (term[q] - term_q_after)
-            )
-            if delta < best:
-                best = delta
-    return best
+    dist = cdist(dataset.feature_matrix, model.centroids, "sqeuclidean")
+    _check_finite(dist)
+    dist_scale = 1.0 / dataset.n if cfg.normalize_clustering_loss else 1.0
+    own = np.asarray(model.assignment, dtype=np.intp)
+    kinds = 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
+    leave, join = _bias_tables(
+        stats.group_counts[:, 0].tolist(),
+        stats.group_counts[:, 1].tolist(),
+        stats.correct_counts[:, 0].tolist(),
+        stats.correct_counts[:, 1].tolist(),
+        stats.gap_terms().tolist(),
+        cfg.lam,
+    )
+    delta = _move_deltas(dist, own, kinds, leave, join, dist_scale)
+    return min(0.0, float(delta.min()))

@@ -118,13 +118,13 @@ class LoganConfig:
             raise ValidationError(
                 f"k ({self.k}) must be >= min_clusters ({self.min_clusters})"
             )
-        if self.lam < 0:
-            raise ValidationError(f"lam must be >= 0, got {self.lam}")
+        if not math.isfinite(self.lam) or self.lam < 0:
+            raise ValidationError(f"lam must be finite and >= 0, got {self.lam}")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.bias_threshold < 0:
+        if not math.isfinite(self.bias_threshold) or self.bias_threshold < 0:
             raise ValidationError(
-                f"bias_threshold must be >= 0, got {self.bias_threshold}"
+                f"bias_threshold must be finite and >= 0, got {self.bias_threshold}"
             )
         if self.min_cluster_total < 0 or self.min_per_group < 0:
             raise ValidationError("count thresholds must be >= 0")

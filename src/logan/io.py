@@ -157,7 +157,7 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
                 obj["score"] = inst.score
             if inst.text is not None:
                 obj["text"] = inst.text
-            fh.write(json.dumps(obj) + "\n")
+            fh.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
 def file_sha256(path: str | Path) -> str:
@@ -234,7 +234,7 @@ class AuditReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AuditReport":

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
+from logan.clustering import ClusterStats, _term
 from logan.data import Dataset, build_dataset
 
 
@@ -53,3 +55,47 @@ def random_dataset(
         u = rng.random(n)
         scores = np.where(preds == 1, 0.5 + 0.5 * u, 0.5 * u)
     return make_dataset(features, groups.tolist(), labels, preds, scores)
+
+
+def reference_best_single_move_delta(dataset: Dataset, model, cfg) -> float:
+    """One-instance-at-a-time reference for ``best_single_move_delta``:
+    the most negative objective delta over all single moves, or 0."""
+    stats = ClusterStats.from_assignment(dataset, model.assignment, model.centroids)
+    n = dataset.n
+    k = model.n_clusters
+    lam = cfg.lam
+    dist_scale = 1.0 / n if cfg.normalize_clustering_loss else 1.0
+    g = dataset.group_codes
+    w = dataset.correct_flags
+    dist_mat = cdist(dataset.feature_matrix, model.centroids, "sqeuclidean")
+    n1 = stats.group_counts[:, 0].tolist()
+    n2 = stats.group_counts[:, 1].tolist()
+    c1 = stats.correct_counts[:, 0].tolist()
+    c2 = stats.correct_counts[:, 1].tolist()
+    term = stats.gap_terms().tolist()
+    best = 0.0
+    for i in range(n):
+        p = int(model.assignment[i])
+        a = int(g[i])
+        wi = int(w[i])
+        if a == 0:
+            term_p_after = _term(n1[p] - 1, n2[p], c1[p] - wi, c2[p])
+        else:
+            term_p_after = _term(n1[p], n2[p] - 1, c1[p], c2[p] - wi)
+        base = lam * (term[p] - term_p_after)
+        dp = float(dist_mat[i, p])
+        for q in range(k):
+            if q == p:
+                continue
+            if a == 0:
+                term_q_after = _term(n1[q] + 1, n2[q], c1[q] + wi, c2[q])
+            else:
+                term_q_after = _term(n1[q], n2[q] + 1, c1[q], c2[q] + wi)
+            delta = (
+                dist_scale * (float(dist_mat[i, q]) - dp)
+                + base
+                + lam * (term[q] - term_q_after)
+            )
+            if delta < best:
+                best = delta
+    return best

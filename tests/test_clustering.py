@@ -2,10 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from logan.clustering import (
+    ClusterModel,
     ClusterStats,
     _fit_core,
+    _sweep_blocked,
     _sweep_sequential,
     _term,
     best_single_move_delta,
@@ -17,7 +22,12 @@ from logan.clustering import (
 from logan.data import LoganConfig, build_dataset
 from logan.synthetic import brute_force_objective
 
-from helpers import make_dataset, random_dataset, rows_from_arrays
+from helpers import (
+    make_dataset,
+    random_dataset,
+    reference_best_single_move_delta,
+    rows_from_arrays,
+)
 
 
 def cfg_for(k, lam=0.0, seed=0, **kw):
@@ -335,3 +345,103 @@ def test_brute_force_lambda_zero_equals_pure_kmeans_enumeration():
 def test_term_helper():
     assert _term(0, 5, 0, 3) == 0.0
     assert _term(4, 2, 3, 1) == pytest.approx(0.0625)
+
+
+# ------------------------------------------- blocked sweep vs the sequential loop
+
+LAMBDAS = (1e-9, 1.0, 1e4)
+
+
+@st.composite
+def sweep_states(draw):
+    """A random mid-fit state on an integer grid, so exact distance ties
+    occur; some clusters hold a single group, and the visit order may
+    repeat instances."""
+    n = draw(st.integers(1, 300))
+    k = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(-3, 4, size=(n, dim)).astype(np.float64)
+    centroids = rng.integers(-6, 7, size=(k, dim)) / 2.0
+    dist = cdist(X, centroids, "sqeuclidean")
+    if draw(st.booleans()):
+        assign = dist.argmin(axis=1)
+    else:
+        assign = rng.integers(0, k, size=n)
+    g = rng.integers(0, 2, size=n)
+    one_group = rng.random(k) < draw(st.sampled_from([0.0, 0.5]))
+    g[one_group[assign]] = rng.integers(0, 2, size=k)[assign][one_group[assign]]
+    w = rng.integers(0, 2, size=n)
+    order = draw(st.sampled_from(["ascending", "permuted", "repeats"]))
+    if order == "ascending":
+        order = np.arange(n)
+    elif order == "permuted":
+        order = rng.permutation(n)
+    else:
+        order = rng.integers(0, n, size=n)
+    lam = draw(st.sampled_from(LAMBDAS))
+    dist_scale = draw(st.sampled_from([1.0, 1.0 / n]))
+    return X, dist, assign, g.astype(np.int8), w.astype(np.int8), order, lam, dist_scale
+
+
+def _sweep_args(X, dist, assign, g, w):
+    k = dist.shape[1]
+    n1 = [int(np.sum((assign == j) & (g == 0))) for j in range(k)]
+    n2 = [int(np.sum((assign == j) & (g == 1))) for j in range(k)]
+    c1 = [int(np.sum((assign == j) & (g == 0) & (w == 1))) for j in range(k)]
+    c2 = [int(np.sum((assign == j) & (g == 1) & (w == 1))) for j in range(k)]
+    term = [_term(n1[j], n2[j], c1[j], c2[j]) for j in range(k)]
+    sums = np.zeros((k, X.shape[1]))
+    np.add.at(sums, assign, X)
+    return assign.tolist(), n1, n2, c1, c2, term, sums
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_states())
+def test_blocked_sweep_matches_sequential_loop_exactly(state):
+    X, dist, assign, g, w, order, lam, dist_scale = state
+    ref = _sweep_args(X, dist, assign, g, w)
+    got = _sweep_args(X, dist, assign, g, w)
+    ref_moves = _sweep_sequential(
+        X, dist.tolist(), *ref, g.tolist(), w.tolist(), lam, dist_scale, order.tolist()
+    )
+    got_moves = _sweep_blocked(X, dist, *got, g, w, lam, dist_scale, order)
+    assert got_moves == ref_moves
+    for ref_part, got_part in zip(ref[:5], got[:5]):
+        assert got_part == ref_part
+    assert np.array(got[5]).tobytes() == np.array(ref[5]).tobytes()
+    assert got[6].tobytes() == ref[6].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sweep_states(),
+    st.sampled_from((0.0, *LAMBDAS)),
+    st.booleans(),
+)
+def test_best_single_move_delta_matches_loop_exactly(state, lam, normalize):
+    X, _, assign, g, w, _, _, _ = state
+    assume(len(g) >= 2)
+    g[-1] = 1 - g[0]  # build_dataset needs both groups
+    k = int(assign.max()) + 1
+    d = make_dataset(X, ["a" if a == 0 else "b" for a in g], w, np.ones(len(w)))
+    centroids = np.random.default_rng(len(X)).integers(-6, 7, size=(k, X.shape[1])) / 2.0
+    model = ClusterModel(
+        centroids=centroids,
+        assignment=assign,
+        objective_trace=(),
+        converged=False,
+        iterations_run=0,
+    )
+    cfg = cfg_for(k, lam=lam, min_clusters=1, normalize_clustering_loss=normalize)
+    assert best_single_move_delta(d, model, cfg) == reference_best_single_move_delta(
+        d, model, cfg
+    )
+
+
+def test_overflowing_distances_rejected():
+    feats = [[0.0, 0.0], [1.0, 0.0], [1e200, 0.0], [-1e200, 0.0]]
+    d = make_dataset(feats, ["a", "b", "a", "b"], [0, 1, 0, 1], [0, 1, 1, 1])
+    cfg = cfg_for(2, lam=1.0, min_clusters=2)
+    with pytest.raises(ValueError, match="overflow"):
+        logan_fit(d, cfg, initial_centroids=np.array([[0.0, 0.0], [1.0, 0.0]]))

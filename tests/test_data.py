@@ -153,6 +153,11 @@ def test_config_invariants():
         LoganConfig(bias_threshold=-0.01)
     with pytest.raises(ValidationError):
         LoganConfig(min_clusters=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            LoganConfig(lam=bad)
+        with pytest.raises(ValidationError, match="finite"):
+            LoganConfig(bias_threshold=bad)
 
 
 def test_config_to_dict_round_trip():

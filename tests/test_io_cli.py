@@ -226,6 +226,28 @@ def test_detect_missing_input_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("lambdas", "nan"), ("lambdas", "inf"), ("bias_threshold", "nan")]
+)
+def test_detect_non_finite_flag_exits_one(planted_file, tmp_path, capsys, flag, value):
+    out = tmp_path / "report.json"
+    code = main(detect_args(planted_file, out, **{flag: value}))
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_usage_error_exits_one_and_help_zero(planted_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(detect_args(planted_file, tmp_path / "report.json") + ["--bogus"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--help"])
+    assert exc.value.code == 0
+
+
 def test_baseline_mode(planted_file, tmp_path):
     out = tmp_path / "baseline.json"
     code = main(
