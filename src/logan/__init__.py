@@ -10,7 +10,6 @@ which clusters carry bias that corpus-level metrics hide.
 
 from .data import (
     Dataset,
-    Instance,
     LoganConfig,
     ValidationError,
     build_dataset,
@@ -59,7 +58,6 @@ __all__ = [
     "GapResult",
     "GridCell",
     "GridResult",
-    "Instance",
     "LoganConfig",
     "MetricKind",
     "PlantedBiasSpec",

@@ -98,14 +98,14 @@ def run_detect(
         audited_model = grid.chosen.model
         chosen_lambda: float | None = grid.chosen_lambda
         comparison = comparison_to_dict(
-            compare(audited_model, baseline_model, dataset, cfg)
+            compare(audited_model, baseline_model, dataset, grid.chosen.reports)
         )
     else:
         audited_model = baseline_model
         chosen_lambda = None
         comparison = None
 
-    has_text = all(inst.text is not None for inst in dataset.instances)
+    has_text = all(text is not None for text in dataset.texts)
     reports = cluster_reports(
         audited_model,
         dataset,

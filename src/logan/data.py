@@ -1,5 +1,7 @@
-"""Dataset types, ingestion validation, and feature standardization.
+"""Dataset columns, ingestion validation, and feature standardization.
 
+A dataset is a set of read-only per-row columns (features, group, label,
+prediction, optional score and text), filled by one row validator.
 Everything downstream assumes a *binary* group attribute: a dataset holds
 exactly two distinct group identities, kept in lexicographic order so that
 all reported gaps are reproducible.  Datasets are immutable once built.
@@ -8,8 +10,8 @@ all reported gaps are reproducible.  Datasets are immutable once built.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -19,69 +21,46 @@ class ValidationError(ValueError):
     """Raised when records or configuration violate a dataset invariant."""
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One evaluation example: feature vector plus group, label, prediction.
-
-    ``score`` is an optional classifier confidence for class 1 (required by
-    the AUC metric); ``text`` is optional raw text used only for building
-    per-cluster token summaries.
-    """
-
-    id: str
-    features: tuple[float, ...]
-    group: str
-    label: int
-    prediction: int
-    score: float | None = None
-    text: str | None = None
-
-    @property
-    def correct(self) -> bool:
-        return self.prediction == self.label
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Validated, immutable collection of instances with a fixed dimension.
+    """Validated, immutable per-row columns with a fixed feature dimension.
 
+    ``feature_matrix`` is the (n, dim) float64 feature array; ``group_codes``
+    (0 for ``groups[0]``, 1 for ``groups[1]``), ``labels`` and ``preds`` are
+    int8.  ``scores`` holds each row's classifier confidence for class 1
+    (required by the AUC metric), NaN where a row has none; ``texts`` holds
+    optional raw text, used only for per-cluster token summaries.
     ``groups`` holds the two group identities in lexicographic order; all
-    per-group outputs elsewhere follow this order.
+    per-group outputs elsewhere follow this order.  Array columns are made
+    read-only on construction.
     """
 
-    instances: tuple[Instance, ...]
-    dim: int
+    ids: tuple[str, ...]
+    feature_matrix: np.ndarray
+    group_codes: np.ndarray
+    labels: np.ndarray
+    preds: np.ndarray
+    scores: np.ndarray
+    texts: tuple[str | None, ...]
     groups: tuple[str, str]
+
+    def __post_init__(self) -> None:
+        for column in (self.feature_matrix, self.group_codes, self.labels,
+                       self.preds, self.scores):
+            column.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return len(self.instances)
+        return len(self.ids)
 
-    @cached_property
-    def feature_matrix(self) -> np.ndarray:
-        """(n, dim) float64 matrix of instance features."""
-        mat = np.array([inst.features for inst in self.instances], dtype=np.float64)
-        mat.setflags(write=False)
-        return mat
+    @property
+    def dim(self) -> int:
+        return self.feature_matrix.shape[1]
 
-    @cached_property
-    def group_codes(self) -> np.ndarray:
-        """(n,) int8 array: 0 for ``groups[0]``, 1 for ``groups[1]``."""
-        codes = np.array(
-            [0 if inst.group == self.groups[0] else 1 for inst in self.instances],
-            dtype=np.int8,
-        )
-        codes.setflags(write=False)
-        return codes
-
-    @cached_property
+    @property
     def correct_flags(self) -> np.ndarray:
         """(n,) int8 array: 1 where prediction equals label."""
-        flags = np.array(
-            [1 if inst.correct else 0 for inst in self.instances], dtype=np.int8
-        )
-        flags.setflags(write=False)
-        return flags
+        return (self.labels == self.preds).astype(np.int8)
 
     def group_sizes(self) -> tuple[int, int]:
         n1 = int(np.sum(self.group_codes == 0))
@@ -139,9 +118,9 @@ def _check_binary(value: Any, name: str, row_id: str) -> int:
     return value
 
 
-def _check_score(value: Any, row_id: str) -> float | None:
+def _check_score(value: Any, row_id: str) -> float:
     if value is None:
-        return None
+        return math.nan
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"score must be a number for instance {row_id!r}")
     score = float(value)
@@ -152,76 +131,105 @@ def _check_score(value: Any, row_id: str) -> float | None:
     return score
 
 
-def _row_to_instance(row: Mapping[str, Any]) -> Instance:
-    if "id" not in row or not isinstance(row["id"], str) or not row["id"]:
-        raise ValidationError(f"instance record missing a string 'id': {row!r}")
-    rid = row["id"]
-    for key in ("features", "group", "label", "pred"):
-        if key not in row:
-            raise ValidationError(f"instance {rid!r} missing field {key!r}")
-    raw_features = row["features"]
-    if not isinstance(raw_features, (list, tuple)) or len(raw_features) == 0:
-        raise ValidationError(f"features of instance {rid!r} must be a nonempty list")
-    feats = []
-    for v in raw_features:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"non-numeric feature in instance {rid!r}: {v!r}")
-        fv = float(v)
-        if not math.isfinite(fv):
-            raise ValidationError(f"non-finite feature in instance {rid!r}: {v!r}")
-        feats.append(fv)
-    group = row["group"]
-    if not isinstance(group, str) or not group:
-        raise ValidationError(f"group of instance {rid!r} must be a nonempty string")
-    text = row.get("text")
-    if text is not None and not isinstance(text, str):
-        raise ValidationError(f"text of instance {rid!r} must be a string")
-    return Instance(
-        id=rid,
-        features=tuple(feats),
-        group=group,
-        label=_check_binary(row["label"], "label", rid),
-        prediction=_check_binary(row["pred"], "pred", rid),
-        score=_check_score(row.get("score"), rid),
-        text=text,
-    )
+class DatasetBuilder:
+    """Fills the columns of a Dataset one validated record at a time.
+
+    ``add`` is the single row validator: loaders call it once per parsed
+    record and attach their own line numbers to its errors.  ``finish``
+    applies the checks that need every record.
+    """
+
+    def __init__(self) -> None:
+        self._seen_ids: set[str] = set()
+        self._dim: int | None = None
+        self._features = array("d")  # row-major, unboxed
+        # (id, group, label, pred, score, text) per accepted record
+        self._rows: list[tuple[str, str, int, int, float, str | None]] = []
+
+    def add(self, row: Mapping[str, Any]) -> None:
+        """Validate one record and append it; a rejected record leaves the
+        columns untouched.
+
+        The record needs ``id``, ``features``, ``group``, ``label`` and
+        ``pred`` (optional ``score`` and ``text``); the feature dimension
+        is fixed by the first record.  Raises ValidationError on a missing
+        field, non-numeric or non-finite features, a dimension mismatch, a
+        duplicate id, labels or predictions outside {0, 1}, or a score
+        outside [0, 1].
+        """
+        if "id" not in row or not isinstance(row["id"], str) or not row["id"]:
+            raise ValidationError(f"instance record missing a string 'id': {row!r}")
+        rid = row["id"]
+        for key in ("features", "group", "label", "pred"):
+            if key not in row:
+                raise ValidationError(f"instance {rid!r} missing field {key!r}")
+        raw_features = row["features"]
+        if not isinstance(raw_features, (list, tuple)) or len(raw_features) == 0:
+            raise ValidationError(f"features of instance {rid!r} must be a nonempty list")
+        feats = []
+        for v in raw_features:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValidationError(f"non-numeric feature in instance {rid!r}: {v!r}")
+            fv = float(v)
+            if not math.isfinite(fv):
+                raise ValidationError(f"non-finite feature in instance {rid!r}: {v!r}")
+            feats.append(fv)
+        group = row["group"]
+        if not isinstance(group, str) or not group:
+            raise ValidationError(f"group of instance {rid!r} must be a nonempty string")
+        text = row.get("text")
+        if text is not None and not isinstance(text, str):
+            raise ValidationError(f"text of instance {rid!r} must be a string")
+        label = _check_binary(row["label"], "label", rid)
+        pred = _check_binary(row["pred"], "pred", rid)
+        score = _check_score(row.get("score"), rid)
+        if self._dim is None:
+            self._dim = len(feats)
+        elif len(feats) != self._dim:
+            raise ValidationError(
+                f"instance {rid!r} has {len(feats)} features, expected {self._dim}"
+            )
+        if rid in self._seen_ids:
+            raise ValidationError(f"duplicate instance id {rid!r}")
+        self._seen_ids.add(rid)
+        self._features.extend(feats)
+        self._rows.append((rid, group, label, pred, score, text))
+
+    def finish(self) -> Dataset:
+        """Assemble the Dataset; group order is canonicalized
+        lexicographically.  Raises ValidationError on zero records or a
+        group count other than exactly two."""
+        n = len(self._rows)
+        if n == 0:
+            raise ValidationError("cannot build a dataset from zero records")
+        ids, groups, labels, preds, scores, texts = zip(*self._rows)
+        group_names = sorted(set(groups))
+        if len(group_names) != 2:
+            raise ValidationError(
+                f"dataset must contain exactly two groups, found {len(group_names)}: "
+                f"{group_names}"
+            )
+        second = group_names[1]
+        return Dataset(
+            ids=ids,
+            feature_matrix=np.array(self._features, dtype=np.float64).reshape(n, self._dim),
+            group_codes=np.array([g == second for g in groups], dtype=np.int8),
+            labels=np.array(labels, dtype=np.int8),
+            preds=np.array(preds, dtype=np.int8),
+            scores=np.array(scores, dtype=np.float64),
+            texts=texts,
+            groups=(group_names[0], second),
+        )
 
 
 def build_dataset(rows: Iterable[Mapping[str, Any]]) -> Dataset:
-    """Validate raw records and assemble a Dataset.
-
-    Each record needs ``id``, ``features``, ``group``, ``label`` and ``pred``
-    (optional ``score`` and ``text``).  The feature dimension is inferred
-    from the first record; group order is canonicalized lexicographically.
-
-    Raises ValidationError on: empty input, dimension mismatch, duplicate
-    ids, non-finite features, labels or predictions outside {0, 1}, scores
-    outside [0, 1], or a group count other than exactly two.
-    """
-    instances = [_row_to_instance(row) for row in rows]
-    if not instances:
-        raise ValidationError("cannot build a dataset from zero records")
-    dim = len(instances[0].features)
-    seen_ids: set[str] = set()
-    for inst in instances:
-        if len(inst.features) != dim:
-            raise ValidationError(
-                f"instance {inst.id!r} has {len(inst.features)} features, expected {dim}"
-            )
-        if inst.id in seen_ids:
-            raise ValidationError(f"duplicate instance id {inst.id!r}")
-        seen_ids.add(inst.id)
-    group_names = sorted({inst.group for inst in instances})
-    if len(group_names) != 2:
-        raise ValidationError(
-            f"dataset must contain exactly two groups, found {len(group_names)}: "
-            f"{group_names}"
-        )
-    return Dataset(
-        instances=tuple(instances),
-        dim=dim,
-        groups=(group_names[0], group_names[1]),
-    )
+    """Validate raw records (see ``DatasetBuilder.add``) and assemble a
+    Dataset.  Raises ValidationError on the first invalid record, on empty
+    input, or on a group count other than exactly two."""
+    builder = DatasetBuilder()
+    for row in rows:
+        builder.add(row)
+    return builder.finish()
 
 
 def standardize_features(dataset: Dataset) -> Dataset:
@@ -231,7 +239,7 @@ def standardize_features(dataset: Dataset) -> Dataset:
     standard deviation.  Constant coordinates are set to exactly 0.  The
     input dataset is left untouched.
     """
-    mat = np.array(dataset.feature_matrix, dtype=np.float64)
+    mat = dataset.feature_matrix
     constant = np.all(mat == mat[0], axis=0)
     mean = mat.mean(axis=0)
     std = mat.std(axis=0)
@@ -239,8 +247,4 @@ def standardize_features(dataset: Dataset) -> Dataset:
     scale_cols = ~constant & (std > 0)
     out[:, scale_cols] /= std[scale_cols]
     out[:, constant] = 0.0
-    new_instances = tuple(
-        replace(inst, features=tuple(float(v) for v in out[i]))
-        for i, inst in enumerate(dataset.instances)
-    )
-    return Dataset(instances=new_instances, dim=dataset.dim, groups=dataset.groups)
+    return replace(dataset, feature_matrix=out)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
-from .data import Dataset, build_dataset
+from .data import Dataset, DatasetBuilder, ValidationError
 from .metrics import GapResult
 from .postprocess import ClusterReport, ComparisonReport
 
@@ -33,35 +33,16 @@ class LoadError(ValueError):
         super().__init__(message)
 
 
-_REQUIRED_FIELDS = ("id", "features", "group", "label", "pred")
-
-
-def _check_line_fields(obj: dict[str, Any], line_no: int) -> dict[str, Any]:
-    for key in _REQUIRED_FIELDS:
-        if key not in obj:
-            raise LoadError(f"missing required field {key!r}", line_no)
-    score = obj.get("score")
-    if score is not None:
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise LoadError(f"score must be a number, got {score!r}", line_no)
-        if not 0.0 <= float(score) <= 1.0:
-            raise LoadError(f"score {score} outside [0, 1]", line_no)
-    label = obj.get("label")
-    pred = obj.get("pred")
-    for name, val in (("label", label), ("pred", pred)):
-        if isinstance(val, bool) or not isinstance(val, int) or val not in (0, 1):
-            raise LoadError(f"{name} must be 0 or 1, got {val!r}", line_no)
-    if not isinstance(obj["features"], list):
-        raise LoadError("features must be an array of numbers", line_no)
-    text = obj.get("text")
-    if text is not None and not isinstance(text, str):
-        raise LoadError(f"text must be a string, got {text!r}", line_no)
-    return {key: obj[key] for key in (*_REQUIRED_FIELDS, "score", "text") if key in obj}
+def _add_row(builder: DatasetBuilder, row: dict[str, Any], line_no: int) -> None:
+    try:
+        builder.add(row)
+    except ValidationError as exc:
+        raise LoadError(str(exc), line_no) from exc
 
 
 def load_jsonl(path: str | Path) -> Dataset:
     """Load a dataset from a JSONL file; errors name the offending line."""
-    rows = []
+    builder = DatasetBuilder()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -73,16 +54,29 @@ def load_jsonl(path: str | Path) -> Dataset:
                 raise LoadError(f"invalid JSON ({exc.msg})", line_no) from exc
             if not isinstance(obj, dict):
                 raise LoadError("each line must hold a JSON object", line_no)
-            rows.append(_check_line_fields(obj, line_no))
-    return build_dataset(rows)
+            _add_row(builder, obj, line_no)
+    return builder.finish()
 
 
 _FEATURE_COL_RE = re.compile(r"^f(\d+)$")
 
 
+def _parse_number(raw: str) -> float | str:
+    """The float a CSV cell holds, or the cell itself for the validator to
+    reject."""
+    try:
+        return float(raw)
+    except ValueError:
+        return raw
+
+
 def load_csv(path: str | Path) -> Dataset:
-    """Load a dataset from CSV with features in columns ``f0..f{d-1}``."""
-    rows = []
+    """Load a dataset from CSV with features in columns ``f0..f{d-1}``.
+
+    Cells are parsed to the JSONL types where they can be; the row
+    validator rejects the rest, and errors name the offending line.
+    """
+    builder = DatasetBuilder()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -101,37 +95,22 @@ def load_csv(path: str | Path) -> Dataset:
             if key not in reader.fieldnames:
                 raise LoadError(f"missing required column {key!r}", 1)
         for record in reader:
-            line_no = reader.line_num
-            try:
-                features = [float(record[feature_cols[i]]) for i in range(dim)]
-            except (TypeError, ValueError) as exc:
-                raise LoadError("non-numeric feature value", line_no) from exc
-            def parse_binary(name: str) -> int:
-                raw = (record.get(name) or "").strip()
-                if raw not in ("0", "1"):
-                    raise LoadError(f"{name} must be 0 or 1, got {raw!r}", line_no)
-                return int(raw)
             obj: dict[str, Any] = {
                 "id": record.get("id") or "",
-                "features": features,
+                "features": [_parse_number(record[feature_cols[i]] or "") for i in range(dim)],
                 "group": record.get("group") or "",
-                "label": parse_binary("label"),
-                "pred": parse_binary("pred"),
             }
+            for name in ("label", "pred"):
+                raw = (record.get(name) or "").strip()
+                obj[name] = int(raw) if raw in ("0", "1") else raw
             raw_score = (record.get("score") or "").strip()
             if raw_score:
-                try:
-                    score = float(raw_score)
-                except ValueError as exc:
-                    raise LoadError(f"score must be a number, got {raw_score!r}", line_no) from exc
-                if not 0.0 <= score <= 1.0:
-                    raise LoadError(f"score {score} outside [0, 1]", line_no)
-                obj["score"] = score
+                obj["score"] = _parse_number(raw_score)
             raw_text = record.get("text")
             if raw_text:
                 obj["text"] = raw_text
-            rows.append(obj)
-    return build_dataset(rows)
+            _add_row(builder, obj, reader.line_num)
+    return builder.finish()
 
 
 def load_dataset(path: str | Path, fmt: str = "jsonl") -> Dataset:
@@ -144,19 +123,28 @@ def load_dataset(path: str | Path, fmt: str = "jsonl") -> Dataset:
 
 def write_jsonl(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset in the JSONL input format (lossless round-trip)."""
+    columns = zip(
+        dataset.ids,
+        dataset.feature_matrix.tolist(),
+        dataset.group_codes.tolist(),
+        dataset.labels.tolist(),
+        dataset.preds.tolist(),
+        dataset.scores.tolist(),
+        dataset.texts,
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        for inst in dataset.instances:
+        for rid, features, code, label, pred, score, text in columns:
             obj: dict[str, Any] = {
-                "id": inst.id,
-                "features": list(inst.features),
-                "group": inst.group,
-                "label": inst.label,
-                "pred": inst.prediction,
+                "id": rid,
+                "features": features,
+                "group": dataset.groups[code],
+                "label": label,
+                "pred": pred,
             }
-            if inst.score is not None:
-                obj["score"] = inst.score
-            if inst.text is not None:
-                obj["text"] = inst.text
+            if not math.isnan(score):
+                obj["score"] = score
+            if text is not None:
+                obj["text"] = text
             fh.write(json.dumps(obj, allow_nan=False) + "\n")
 
 

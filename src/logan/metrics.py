@@ -1,9 +1,11 @@
 """Subset performance metrics and between-group gap computations.
 
-All operations are pure functions over instance lists.  Metrics that are
-undefined on a subset (AUC with a single class, FPR with no negatives,
-anything on an empty subset) return ``None`` rather than raising; callers
-treat such subsets as non-detectable.
+All operations are pure functions of a dataset's columns and a subset of
+its rows, given as integer row indices or a boolean mask (rows keep their
+order either way).  Metrics that are undefined on a subset (AUC with a
+single class, FPR with no negatives, anything on an empty subset) return
+``None`` rather than raising; callers treat such subsets as
+non-detectable.
 """
 
 from __future__ import annotations
@@ -11,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import Dataset, Instance
+from .data import Dataset
 
 
 class MetricKind(Enum):
@@ -54,50 +55,50 @@ def _auc_from_arrays(labels: np.ndarray, scores: np.ndarray) -> float | None:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def performance(subset: Sequence[Instance], kind: MetricKind) -> float | None:
-    """Performance of the model on a subset under the given metric.
+def performance(dataset: Dataset, rows: np.ndarray, kind: MetricKind) -> float | None:
+    """Performance of the model on the selected rows under the given metric.
 
-    Accuracy: fraction of instances with prediction == label.
-    FPR: among label==0 instances, fraction predicted 1 (None if no
+    Accuracy: fraction of rows with prediction == label.
+    FPR: among label==0 rows, fraction predicted 1 (None if no
     negatives).  Subgroup AUC: probability a random (positive, negative)
     pair is ranked correctly by score, ties credited 0.5 (None if either
     class is absent; raises ValueError if any score is missing).
 
     Returns None on an empty subset.
     """
-    if len(subset) == 0:
+    idx = np.arange(dataset.n)[rows]
+    if len(idx) == 0:
         return None
     if kind is MetricKind.ACCURACY:
-        return sum(1 for inst in subset if inst.correct) / len(subset)
+        return int(np.count_nonzero(dataset.labels[idx] == dataset.preds[idx])) / len(idx)
     if kind is MetricKind.FPR:
-        negatives = [inst for inst in subset if inst.label == 0]
-        if not negatives:
+        negatives = idx[dataset.labels[idx] == 0]
+        if len(negatives) == 0:
             return None
-        return sum(1 for inst in negatives if inst.prediction == 1) / len(negatives)
+        return int(np.count_nonzero(dataset.preds[negatives] == 1)) / len(negatives)
     if kind is MetricKind.SUBGROUP_AUC:
-        missing = [inst.id for inst in subset if inst.score is None]
-        if missing:
+        scores = dataset.scores[idx]
+        missing = np.isnan(scores)
+        if missing.any():
+            first = dataset.ids[idx[np.argmax(missing)]]
             raise ValueError(
-                f"AUC requires a score on every instance; missing for {missing[0]!r}"
+                f"AUC requires a score on every instance; missing for {first!r}"
             )
-        labels = np.array([inst.label for inst in subset], dtype=np.int64)
-        scores = np.array([inst.score for inst in subset], dtype=np.float64)
-        return _auc_from_arrays(labels, scores)
+        return _auc_from_arrays(dataset.labels[idx], scores)
     raise ValueError(f"unknown metric kind: {kind!r}")
 
 
-def group_gap(
-    subset: Sequence[Instance],
-    kind: MetricKind,
-    groups: tuple[str, str],
-) -> GapResult:
-    """Per-group performance on a subset and the absolute gap between them."""
-    if len(subset) == 0:
+def group_gap(dataset: Dataset, rows: np.ndarray, kind: MetricKind) -> GapResult:
+    """Per-group performance on the selected rows and the absolute gap
+    between them; groups follow ``dataset.groups``."""
+    idx = np.arange(dataset.n)[rows]
+    if len(idx) == 0:
         raise ValueError("group_gap requires a nonempty subset")
-    sub1 = [inst for inst in subset if inst.group == groups[0]]
-    sub2 = [inst for inst in subset if inst.group == groups[1]]
-    p1 = performance(sub1, kind)
-    p2 = performance(sub2, kind)
+    in_first = dataset.group_codes[idx] == 0
+    sub1 = idx[in_first]
+    sub2 = idx[~in_first]
+    p1 = performance(dataset, sub1, kind)
+    p2 = performance(dataset, sub2, kind)
     gap = None if p1 is None or p2 is None else abs(p1 - p2)
     return GapResult(
         perf_group1=p1,
@@ -110,7 +111,7 @@ def group_gap(
 
 def global_bias(dataset: Dataset, kind: MetricKind) -> GapResult:
     """Corpus-level gap: the group disparity over the entire dataset."""
-    return group_gap(dataset.instances, kind, dataset.groups)
+    return group_gap(dataset, np.arange(dataset.n), kind)
 
 
 def random_split_baseline(
@@ -121,7 +122,7 @@ def random_split_baseline(
 ) -> tuple[float, float]:
     """Mean and std of the gap between two random pseudo-groups.
 
-    Each run partitions the instances uniformly at random into two
+    Each run partitions the rows uniformly at random into two
     pseudo-groups whose sizes match the real group sizes, then measures the
     performance gap between them.  This calibrates how large a gap arises
     from sampling noise alone, which is what a bias threshold has to beat.
@@ -136,10 +137,8 @@ def random_split_baseline(
     gaps = []
     for _ in range(runs):
         perm = rng.permutation(dataset.n)
-        side_a = [dataset.instances[i] for i in perm[:n1]]
-        side_b = [dataset.instances[i] for i in perm[n1:]]
-        pa = performance(side_a, kind)
-        pb = performance(side_b, kind)
+        pa = performance(dataset, perm[:n1], kind)
+        pb = performance(dataset, perm[n1:], kind)
         if pa is None or pb is None:
             continue
         gaps.append(abs(pa - pb))

@@ -10,6 +10,7 @@ cluster is *detectable* when both groups clear ``min_per_group`` and
 from __future__ import annotations
 
 import re
+from sys import intern
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -17,8 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .clustering import ClusterModel
-from .data import Dataset, Instance, LoganConfig
-from .metrics import GapResult, MetricKind, group_gap
+from .data import Dataset, LoganConfig
+from .metrics import MetricKind, group_gap
 
 
 @dataclass(frozen=True)
@@ -145,39 +146,47 @@ def merge_small_clusters(
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
 
-def _tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+def tokenize_texts(
+    texts: Sequence[str | None],
+) -> tuple[list[list[str] | None], Counter[str]]:
+    """Token list of every text (None where a row has no text) and the
+    token counts of the whole corpus; each text is tokenized once.  Tokens
+    are interned, so the lists share one string per distinct token."""
+    tokens = [
+        None if text is None else [intern(t) for t in _TOKEN_RE.findall(text.lower())]
+        for text in texts
+    ]
+    return tokens, Counter(t for toks in tokens if toks is not None for t in toks)
 
 
 def interpret_cluster(
-    cluster_instances: Sequence[Instance],
-    corpus_instances: Sequence[Instance],
+    cluster_tokens: Sequence[list[str] | None],
+    corpus_counts: Counter[str],
     top_n: int = 10,
     stop_tokens: Iterable[str] = (),
 ) -> tuple[str, ...]:
     """Tokens most over-represented in a cluster relative to the corpus.
 
-    Ranks tokens by the ratio of within-cluster relative frequency to
-    corpus relative frequency; ties break lexicographically.  Stop tokens
-    are dropped from both sides before ranking.  Raises ValueError when no
-    cluster instance carries text.
+    ``cluster_tokens`` holds the token list of each cluster member (None
+    for a member without text) and ``corpus_counts`` the corpus token
+    counts, both as ``tokenize_texts`` returns them.  Ranks tokens by the
+    ratio of within-cluster relative frequency to corpus relative
+    frequency; ties break lexicographically.  Stop tokens are dropped from
+    both sides before ranking.  Raises ValueError when no cluster member
+    carries text.
     """
     stop = set(stop_tokens)
     cluster_counts: Counter[str] = Counter()
-    corpus_counts: Counter[str] = Counter()
     saw_text = False
-    for inst in cluster_instances:
-        if inst.text is None:
+    for toks in cluster_tokens:
+        if toks is None:
             continue
         saw_text = True
-        cluster_counts.update(t for t in _tokenize(inst.text) if t not in stop)
+        cluster_counts.update(t for t in toks if t not in stop)
     if not saw_text:
         raise ValueError("no cluster instance carries text")
-    for inst in corpus_instances:
-        if inst.text is not None:
-            corpus_counts.update(t for t in _tokenize(inst.text) if t not in stop)
     cluster_total = sum(cluster_counts.values())
-    corpus_total = sum(corpus_counts.values())
+    corpus_total = sum(c for tok, c in corpus_counts.items() if tok not in stop)
     if cluster_total == 0 or corpus_total == 0:
         return ()
     ranked = sorted(
@@ -206,48 +215,37 @@ def cluster_reports(
     ``top_tokens`` > 0 and a cluster carries text, the report includes the
     cluster's most over-represented tokens.
     """
-    wanted: list[MetricKind] = [MetricKind.ACCURACY]
-    for kind in kinds:
-        if kind not in wanted:
-            wanted.append(kind)
-    members: list[list[Instance]] = [[] for _ in range(model.n_clusters)]
-    for inst, j in zip(dataset.instances, model.assignment):
-        members[int(j)].append(inst)
+    wanted = list(dict.fromkeys([MetricKind.ACCURACY, *kinds]))
+    if top_tokens > 0:
+        tokens, corpus_counts = tokenize_texts(dataset.texts)
     reports = []
-    for j, sub in enumerate(members):
-        perf1: dict[MetricKind, float | None] = {}
-        perf2: dict[MetricKind, float | None] = {}
-        gaps: dict[MetricKind, float | None] = {}
-        result_by_kind: dict[MetricKind, GapResult] = {}
-        for kind in wanted:
-            res = group_gap(sub, kind, dataset.groups)
-            result_by_kind[kind] = res
-            perf1[kind] = res.perf_group1
-            perf2[kind] = res.perf_group2
-            gaps[kind] = res.gap
-        counts = result_by_kind[MetricKind.ACCURACY]
+    for j in range(model.n_clusters):
+        members = model.assignment == j
+        results = {kind: group_gap(dataset, members, kind) for kind in wanted}
+        counts = results[MetricKind.ACCURACY]
         detectable = (
             counts.n_group1 >= cfg.min_per_group
             and counts.n_group2 >= cfg.min_per_group
         )
-        acc_gap = gaps[MetricKind.ACCURACY]
-        biased = detectable and acc_gap is not None and acc_gap >= cfg.bias_threshold
-        tokens: tuple[str, ...] | None = None
-        if top_tokens > 0 and any(inst.text is not None for inst in sub):
-            tokens = interpret_cluster(
-                sub, dataset.instances, top_n=top_tokens, stop_tokens=stop_tokens
-            )
+        biased = detectable and counts.gap is not None and counts.gap >= cfg.bias_threshold
+        top: tuple[str, ...] | None = None
+        if top_tokens > 0:
+            member_tokens = [tokens[i] for i in np.flatnonzero(members)]
+            if any(toks is not None for toks in member_tokens):
+                top = interpret_cluster(
+                    member_tokens, corpus_counts, top_n=top_tokens, stop_tokens=stop_tokens
+                )
         reports.append(
             ClusterReport(
                 cluster_id=j,
                 n_group1=counts.n_group1,
                 n_group2=counts.n_group2,
-                perf_group1=perf1,
-                perf_group2=perf2,
-                gap=gaps,
+                perf_group1={kind: res.perf_group1 for kind, res in results.items()},
+                perf_group2={kind: res.perf_group2 for kind, res in results.items()},
+                gap={kind: res.gap for kind, res in results.items()},
                 detectable=detectable,
                 biased=biased,
-                top_tokens=tokens,
+                top_tokens=top,
             )
         )
     return reports
@@ -257,18 +255,18 @@ def compare(
     candidate: ClusterModel,
     baseline: ClusterModel,
     dataset: Dataset,
-    cfg: LoganConfig,
+    reports: Sequence[ClusterReport],
 ) -> ComparisonReport:
     """Compare a candidate clustering against a baseline on one dataset.
 
     The inertia ratio measures how much clustering quality the candidate
     gave up; the bias-detection stats (bcr, bir, mean gap) are computed on
-    the candidate's reports.  Empty denominators yield 0 by definition.
+    ``reports``, the candidate's ``cluster_reports``.  Empty denominators
+    yield 0 by definition.
     """
     inertia_candidate = inertia(dataset, candidate)
     inertia_baseline = inertia(dataset, baseline)
     ratio = None if inertia_baseline == 0.0 else inertia_candidate / inertia_baseline
-    reports = cluster_reports(candidate, dataset, cfg, kinds=(MetricKind.ACCURACY,))
     detectable = [r for r in reports if r.detectable]
     biased = [r for r in detectable if r.biased]
     n_inst_detectable = sum(r.size for r in detectable)

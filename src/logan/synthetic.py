@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Instance, build_dataset
+from .data import Dataset, build_dataset
 
 GROUP_1 = "a"
 GROUP_2 = "b"
@@ -156,9 +156,9 @@ def generate(spec: PlantedBiasSpec) -> Dataset:
     return build_dataset(rows)
 
 
-def component_of(instance: Instance) -> int:
+def component_of(row_id: str) -> int:
     """Recover the mixture component index encoded in a generated id."""
-    return int(instance.id.split("-")[0][1:])
+    return int(row_id.split("-")[0][1:])
 
 
 _BRUTE_FORCE_CAP = 2_000_000
@@ -205,13 +205,16 @@ def brute_force_objective(
     return best_total, np.array(best_assign, dtype=np.int64)
 
 
-def brute_force_auc(subset: Sequence[Instance]) -> float:
+def brute_force_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
     """All-pairs AUC with 0.5 credit for score ties; the reference the
-    rank-based implementation is checked against."""
-    if any(inst.score is None for inst in subset):
+    rank-based implementation is checked against.  A missing score is
+    NaN."""
+    labels = np.asarray(labels)
+    scores = np.asarray(scores, dtype=np.float64)
+    if np.isnan(scores).any():
         raise ValueError("brute_force_auc requires a score on every instance")
-    pos = np.array([inst.score for inst in subset if inst.label == 1])
-    neg = np.array([inst.score for inst in subset if inst.label == 0])
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("brute_force_auc requires both classes present")
     greater = np.sum(pos[:, None] > neg[None, :])

@@ -31,6 +31,22 @@ def make_dataset(features, groups, labels, preds, scores=None, texts=None) -> Da
     return build_dataset(rows_from_arrays(features, groups, labels, preds, scores, texts))
 
 
+def assert_same_dataset(actual: Dataset, expected: Dataset) -> None:
+    """Every column equal exactly: features bit for bit, missing scores
+    (NaN) in the same rows, missing texts (None) in the same rows."""
+    assert actual.ids == expected.ids
+    assert actual.groups == expected.groups
+    assert actual.feature_matrix.dtype == expected.feature_matrix.dtype == np.float64
+    assert actual.feature_matrix.shape == expected.feature_matrix.shape
+    assert actual.feature_matrix.tobytes() == expected.feature_matrix.tobytes()
+    for name in ("group_codes", "labels", "preds"):
+        a, b = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == b.dtype == np.int8, name
+        assert np.array_equal(a, b), name
+    assert actual.scores.tobytes() == expected.scores.tobytes()
+    assert actual.texts == expected.texts
+
+
 def random_dataset(
     rng: np.random.Generator,
     n: int,

@@ -14,10 +14,10 @@ from logan.clustering import (
     kmeans_fit,
     logan_fit,
 )
-from logan.data import Instance, LoganConfig
+from logan.data import LoganConfig
 from logan.io import AuditReport, LoadError, load_jsonl, write_jsonl
 from logan.metrics import MetricKind, global_bias, performance, random_split_baseline
-from logan.postprocess import compare, merge_small_clusters
+from logan.postprocess import cluster_reports, compare, merge_small_clusters
 from logan.selection import grid_search
 from logan.synthetic import (
     PlantedBiasSpec,
@@ -129,19 +129,15 @@ def test_criterion_5_auc_equivalence():
             scores = rng.integers(0, levels, size=n) / (levels - 1) if levels > 1 else np.zeros(n)
         else:
             scores = rng.random(n)
-        subset = [
-            Instance(
-                id=str(i),
-                features=(0.0,),
-                group="a",
-                label=int(labels[i]),
-                prediction=int(labels[i]),
-                score=float(scores[i]),
-            )
-            for i in range(n)
-        ]
-        fast = performance(subset, MetricKind.SUBGROUP_AUC)
-        slow = brute_force_auc(subset)
+        subset = make_dataset(
+            features=[[0.0]] * n,
+            groups=["a", "b"] * (n // 2) + ["a"] * (n % 2),
+            labels=labels,
+            preds=labels,
+            scores=scores,
+        )
+        fast = performance(subset, np.arange(n), MetricKind.SUBGROUP_AUC)
+        slow = brute_force_auc(subset.labels, subset.scores)
         assert fast is not None
         assert abs(fast - slow) <= 1e-12
     _pass(5, "rank AUC equals all-pairs AUC on 1000 subsets")
@@ -161,10 +157,11 @@ def test_criterion_6_hidden_bias_discovery():
         chosen = grid_search(dataset, cfg, grid).chosen
         if chosen.max_gap >= 0.25:
             hits += 1
-        versus = compare(chosen.model, baseline, dataset, cfg)
+        versus = compare(chosen.model, baseline, dataset, chosen.reports)
         assert versus.inertia_ratio is not None and versus.inertia_ratio <= 1.05
         bcr_logan.append(versus.bcr)
-        bcr_kmeans.append(compare(baseline, baseline, dataset, cfg).bcr)
+        baseline_reports = cluster_reports(baseline, dataset, cfg)
+        bcr_kmeans.append(compare(baseline, baseline, dataset, baseline_reports).bcr)
     elapsed = time.monotonic() - started
     assert hits >= 9, f"planted cluster found in only {hits}/10 seeds"
     assert np.mean(bcr_logan) >= np.mean(bcr_kmeans)

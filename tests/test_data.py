@@ -27,7 +27,7 @@ def test_build_dataset_basic():
     assert d.n == 4
     assert d.dim == 2
     assert d.groups == ("a", "b")
-    assert [i.id for i in d.instances] == ["r0000", "r0001", "r0002", "r0003"]
+    assert d.ids == ("r0000", "r0001", "r0002", "r0003")
 
 
 def test_group_order_is_lexicographic():
@@ -105,14 +105,14 @@ def test_cached_arrays():
 def test_standardize_two_point_column():
     d = make_dataset([[1.0], [3.0]], ["a", "b"], [0, 0], [0, 0])
     z = standardize_features(d)
-    assert [i.features[0] for i in z.instances] == [-1.0, 1.0]
+    assert z.feature_matrix[:, 0].tolist() == [-1.0, 1.0]
 
 
 def test_standardize_constant_column_zeroed():
     d = make_dataset([[5.0, 1.0], [5.0, 3.0], [5.0, 5.0]], ["a", "b", "a"], [0] * 3, [0] * 3)
     z = standardize_features(d)
-    assert [i.features[0] for i in z.instances] == [0.0, 0.0, 0.0]
-    col1 = np.array([i.features[1] for i in z.instances])
+    assert z.feature_matrix[:, 0].tolist() == [0.0, 0.0, 0.0]
+    col1 = z.feature_matrix[:, 1]
     assert abs(col1.mean()) < 1e-12
     assert abs(col1.std() - 1.0) < 1e-12
 
@@ -120,14 +120,14 @@ def test_standardize_constant_column_zeroed():
 def test_standardize_leaves_input_untouched():
     d = make_dataset([[1.0], [3.0]], ["a", "b"], [0, 0], [0, 0])
     standardize_features(d)
-    assert [i.features[0] for i in d.instances] == [1.0, 3.0]
+    assert d.feature_matrix[:, 0].tolist() == [1.0, 3.0]
 
 
 def test_standardize_already_standardized_unchanged():
     d = make_dataset([[-1.0], [1.0]], ["a", "b"], [0, 0], [0, 0])
     z = standardize_features(d)
-    for a, b in zip(d.instances, z.instances):
-        assert abs(a.features[0] - b.features[0]) < 1e-12
+    for a, b in zip(d.feature_matrix, z.feature_matrix):
+        assert abs(a[0] - b[0]) < 1e-12
 
 
 def test_standardize_idempotent():
@@ -136,8 +136,8 @@ def test_standardize_idempotent():
     d = make_dataset(feats, ["a", "b"] * 20, [0] * 40, [0] * 40)
     once = standardize_features(d)
     twice = standardize_features(once)
-    for a, b in zip(once.instances, twice.instances):
-        for x, y in zip(a.features, b.features):
+    for a, b in zip(once.feature_matrix, twice.feature_matrix):
+        for x, y in zip(a, b):
             assert abs(x - y) < 1e-9
 
 

@@ -1,8 +1,11 @@
 import csv
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from logan.cli import main, run_detect
@@ -12,10 +15,13 @@ from logan.io import (
     LoadError,
     emit_plot_data,
     load_csv,
+    load_dataset,
     load_jsonl,
     write_jsonl,
 )
 from logan.synthetic import PlantedBiasSpec, generate
+
+from helpers import assert_same_dataset
 
 
 def jsonl_line(i, **overrides):
@@ -84,6 +90,29 @@ def test_load_jsonl_bad_label(tmp_path):
         load_jsonl(path)
 
 
+CSV_HEADER = "id,f0,f1,group,label,pred"
+
+
+@pytest.mark.parametrize(
+    "suffix, lines, bad_line",
+    [
+        (".jsonl", [jsonl_line(0), jsonl_line(1, features=["x"])], 2),
+        (".jsonl", [jsonl_line(0), jsonl_line(1), jsonl_line(2, id="x0")], 3),
+        (".jsonl", [jsonl_line(0), jsonl_line(1, features=[1.0, 2.0, 3.0])], 2),
+        (".csv", [CSV_HEADER, "p0,0.0,1.0,a,1,1", "p1,nan,1.0,b,0,0"], 3),
+        (".csv", [CSV_HEADER, "p0,0.0,1.0,a,1,1", "p1,1.0,1.0,b,0,0", ",2.0,1.0,a,1,0"], 4),
+    ],
+    ids=["jsonl-non-numeric-feature", "jsonl-duplicate-id", "jsonl-dimension",
+         "csv-nan-feature", "csv-empty-id"],
+)
+def test_row_validation_errors_name_the_line(tmp_path, suffix, lines, bad_line):
+    path = tmp_path / f"data{suffix}"
+    write_lines(path, lines)
+    with pytest.raises(LoadError, match=f"^line {bad_line}: ") as err:
+        load_dataset(path, suffix[1:])
+    assert err.value.line == bad_line
+
+
 def test_load_jsonl_unknown_fields_ignored(tmp_path):
     path = tmp_path / "data.jsonl"
     write_lines(
@@ -97,7 +126,7 @@ def test_jsonl_round_trip_identity(tmp_path):
     d = generate(PlantedBiasSpec(n_per_component=20, seed=4))
     path = tmp_path / "out.jsonl"
     write_jsonl(d, path)
-    assert load_jsonl(path) == d
+    assert_same_dataset(load_jsonl(path), d)
 
 
 def test_jsonl_round_trip_optional_fields(tmp_path):
@@ -112,9 +141,9 @@ def test_jsonl_round_trip_optional_fields(tmp_path):
     d = load_jsonl(path)
     out = tmp_path / "echo.jsonl"
     write_jsonl(d, out)
-    assert load_jsonl(out) == d
-    assert d.instances[0].text == "hello there"
-    assert d.instances[1].score is None
+    assert_same_dataset(load_jsonl(out), d)
+    assert d.texts[0] == "hello there"
+    assert math.isnan(d.scores[1])
 
 
 def test_load_csv_basic(tmp_path):
@@ -128,10 +157,10 @@ def test_load_csv_basic(tmp_path):
     d = load_csv(path)
     assert d.n == 2
     assert d.dim == 2
-    assert d.instances[0].features == (0.25, 1.5)
-    assert d.instances[0].text == "hello, quoted"
-    assert d.instances[1].text is None
-    assert d.instances[1].score == 0.2
+    assert d.feature_matrix[0].tolist() == [0.25, 1.5]
+    assert d.texts[0] == "hello, quoted"
+    assert d.texts[1] is None
+    assert d.scores[1] == 0.2
 
 
 def test_load_csv_missing_column(tmp_path):
@@ -395,6 +424,58 @@ def test_detect_emits_top_tokens_when_text_present(tmp_path):
     report = AuditReport.load(out)
     assert all("top_tokens" in c for c in report.clusters)
     assert any(c["top_tokens"] for c in report.clusters)
+
+
+def _text_rows(n=240, seed=3):
+    """Three blobs whose texts favour blob-specific words, with scores."""
+    rng = np.random.default_rng(seed)
+    blob = np.arange(n) % 3
+    features = np.stack([blob * 6.0, blob * -2.0], axis=1) + rng.standard_normal((n, 2))
+    labels = rng.integers(0, 2, size=n)
+    preds = np.where(rng.random(n) < 0.8, labels, 1 - labels)
+    scores = np.where(preds == 1, 0.5, 0.0) + 0.5 * rng.random(n)
+    shared = ["the", "a", "model", "case", "item", "note"]
+    topics = [["red", "ruby"], ["green", "jade"], ["blue", "navy"]]
+    for i in range(n):
+        words = [
+            topics[blob[i]][rng.integers(2)] if rng.random() < 0.4 else shared[rng.integers(6)]
+            for _ in range(8)
+        ]
+        yield {
+            "id": f"t{i:04d}",
+            "features": features[i].tolist(),
+            "group": "a" if rng.random() < 0.5 else "b",
+            "label": int(labels[i]),
+            "pred": int(preds[i]),
+            "score": float(scores[i]),
+            "text": " ".join(words),
+        }
+
+
+# sha256 of each report without provenance.created_at and provenance.input.
+# A change that alters report bytes on purpose updates these and says why in
+# CHANGES.md.
+PINNED_REPORTS = {
+    "detect": "53ad7093e6913f6056b9c5694fdbc0998a4c3849695f572b1c159111333563dc",
+    "baseline": "e26b77fa82fa2532543f3bc0c5385465f55e750d0459fb2ddf63ee3993e76376",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(tmp_path, mode):
+    path = tmp_path / "input.jsonl"
+    if mode == "detect":
+        write_jsonl(generate(PlantedBiasSpec(n_per_component=80, seed=0)), path)
+        args = ["detect"]
+    else:
+        write_lines(path, [json.dumps(row) for row in _text_rows()])
+        args = ["baseline", "--standardize", "--metrics", "accuracy,auc,fpr"]
+    out = tmp_path / "report.json"
+    assert main([*args, "--input", str(path), "--output", str(out)]) in (0, 2)
+    report = json.loads(out.read_text(encoding="utf-8"))
+    del report["provenance"]["created_at"], report["provenance"]["input"]
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[mode]
 
 
 def test_detect_standardize_flag(planted_file, tmp_path):

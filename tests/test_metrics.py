@@ -16,69 +16,73 @@ from logan.synthetic import brute_force_auc
 from helpers import make_dataset
 
 
-def insts(labels, preds, groups=None, scores=None):
+def dataset_of(labels, preds, groups=None, scores=None):
     n = len(labels)
     groups = groups or ["a", "b"] * (n // 2 + 1)
-    d = make_dataset(
+    return make_dataset(
         features=[[float(i)] for i in range(n)],
         groups=groups[:n],
         labels=labels,
         preds=preds,
         scores=scores,
     )
-    return list(d.instances)
+
+
+def every_row(d):
+    return np.arange(d.n)
 
 
 def test_accuracy_three_of_four():
-    subset = insts([1, 0, 1, 0], [1, 0, 0, 0])
-    assert performance(subset, MetricKind.ACCURACY) == 0.75
+    d = dataset_of([1, 0, 1, 0], [1, 0, 0, 0])
+    assert performance(d, every_row(d), MetricKind.ACCURACY) == 0.75
 
 
 def test_accuracy_empty_subset_undefined():
-    assert performance([], MetricKind.ACCURACY) is None
+    d = dataset_of([1, 0], [1, 0])
+    assert performance(d, [], MetricKind.ACCURACY) is None
 
 
 def test_fpr_counts_negatives_only():
     # labels: 0 0 0 1; predictions flag two of the three negatives
-    subset = insts([0, 0, 0, 1], [1, 1, 0, 1])
-    assert performance(subset, MetricKind.FPR) == pytest.approx(2 / 3)
+    d = dataset_of([0, 0, 0, 1], [1, 1, 0, 1])
+    assert performance(d, every_row(d), MetricKind.FPR) == pytest.approx(2 / 3)
 
 
 def test_fpr_undefined_without_negatives():
-    subset = insts([1, 1], [1, 0])
-    assert performance(subset, MetricKind.FPR) is None
+    d = dataset_of([1, 1], [1, 0])
+    assert performance(d, every_row(d), MetricKind.FPR) is None
 
 
 def test_auc_perfect_separation():
-    subset = insts([1, 0, 1, 0], [1, 0, 0, 0], scores=[0.9, 0.1, 0.8, 0.2])
-    assert performance(subset, MetricKind.SUBGROUP_AUC) == 1.0
+    d = dataset_of([1, 0, 1, 0], [1, 0, 0, 0], scores=[0.9, 0.1, 0.8, 0.2])
+    assert performance(d, every_row(d), MetricKind.SUBGROUP_AUC) == 1.0
 
 
 def test_auc_single_tied_pair():
-    subset = insts([1, 0], [1, 0], scores=[0.5, 0.5])
-    assert performance(subset, MetricKind.SUBGROUP_AUC) == 0.5
+    d = dataset_of([1, 0], [1, 0], scores=[0.5, 0.5])
+    assert performance(d, every_row(d), MetricKind.SUBGROUP_AUC) == 0.5
 
 
 def test_auc_reversed_scores():
-    subset = insts([1, 0], [1, 0], scores=[0.1, 0.9])
-    assert performance(subset, MetricKind.SUBGROUP_AUC) == 0.0
+    d = dataset_of([1, 0], [1, 0], scores=[0.1, 0.9])
+    assert performance(d, every_row(d), MetricKind.SUBGROUP_AUC) == 0.0
 
 
 def test_auc_mixed_with_tie():
     # pairs: (0.6 vs 0.5) correct, (0.4 vs 0.5) wrong -> 0.5
-    subset = insts([1, 1, 0], [1, 1, 0], scores=[0.6, 0.4, 0.5])
-    assert performance(subset, MetricKind.SUBGROUP_AUC) == 0.5
+    d = dataset_of([1, 1, 0], [1, 1, 0], scores=[0.6, 0.4, 0.5])
+    assert performance(d, every_row(d), MetricKind.SUBGROUP_AUC) == 0.5
 
 
 def test_auc_single_class_undefined():
-    subset = insts([1, 1], [1, 1], scores=[0.3, 0.7])
-    assert performance(subset, MetricKind.SUBGROUP_AUC) is None
+    d = dataset_of([1, 1], [1, 1], scores=[0.3, 0.7])
+    assert performance(d, every_row(d), MetricKind.SUBGROUP_AUC) is None
 
 
 def test_auc_missing_score_raises():
-    subset = insts([1, 0], [1, 0])
+    d = dataset_of([1, 0], [1, 0])
     with pytest.raises(ValueError, match="score"):
-        performance(subset, MetricKind.SUBGROUP_AUC)
+        performance(d, every_row(d), MetricKind.SUBGROUP_AUC)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -90,9 +94,9 @@ def test_auc_matches_brute_force(seed):
         labels[0] = 1 - labels[0]
     # quantized scores make ties frequent
     scores = rng.integers(0, 6, size=n) / 5.0
-    subset = insts(labels.tolist(), labels.tolist(), scores=scores.tolist())
-    fast = performance(subset, MetricKind.SUBGROUP_AUC)
-    slow = brute_force_auc(subset)
+    d = dataset_of(labels.tolist(), labels.tolist(), scores=scores.tolist())
+    fast = performance(d, every_row(d), MetricKind.SUBGROUP_AUC)
+    slow = brute_force_auc(d.labels, d.scores)
     assert fast == pytest.approx(slow, abs=1e-12)
 
 
@@ -111,12 +115,12 @@ def test_auc_reversal_property(pairs):
 
 def test_group_gap_direct_count():
     # group a: 3/4 correct, group b: 1/2 correct
-    subset = insts(
+    d = dataset_of(
         [1, 1, 0, 0, 1, 0],
         [1, 1, 0, 1, 1, 1],
         groups=["a", "a", "a", "a", "b", "b"],
     )
-    res = group_gap(subset, MetricKind.ACCURACY, ("a", "b"))
+    res = group_gap(d, every_row(d), MetricKind.ACCURACY)
     assert res.perf_group1 == 0.75
     assert res.perf_group2 == 0.5
     assert res.gap == 0.25
@@ -125,19 +129,19 @@ def test_group_gap_direct_count():
 
 def test_group_gap_symmetric_zero():
     # identical (label, pred) multisets in both groups
-    subset = insts(
+    d = dataset_of(
         [1, 0, 1, 0],
         [1, 1, 1, 1],
         groups=["a", "a", "b", "b"],
     )
-    res = group_gap(subset, MetricKind.ACCURACY, ("a", "b"))
+    res = group_gap(d, every_row(d), MetricKind.ACCURACY)
     assert res.gap == 0.0
 
 
 def test_group_gap_empty_group_undefined():
-    all_insts = insts([1, 0, 1], [1, 0, 1], groups=["a", "a", "b"])
-    subset = all_insts[:2]  # group b absent from the evaluated slice
-    res = group_gap(subset, MetricKind.ACCURACY, ("a", "b"))
+    d = dataset_of([1, 0, 1], [1, 0, 1], groups=["a", "a", "b"])
+    subset = [0, 1]  # group b absent from the evaluated slice
+    res = group_gap(d, subset, MetricKind.ACCURACY)
     assert res.perf_group2 is None
     assert res.gap is None
     assert res.n_group2 == 0
@@ -148,10 +152,9 @@ def test_group_gap_permutation_invariant():
     labels = rng.integers(0, 2, 30).tolist()
     preds = rng.integers(0, 2, 30).tolist()
     groups = (["a", "b"] * 15)
-    subset = insts(labels, preds, groups=groups)
-    res = group_gap(subset, MetricKind.ACCURACY, ("a", "b"))
-    perm = [subset[i] for i in rng.permutation(30)]
-    res_perm = group_gap(perm, MetricKind.ACCURACY, ("a", "b"))
+    d = dataset_of(labels, preds, groups=groups)
+    res = group_gap(d, every_row(d), MetricKind.ACCURACY)
+    res_perm = group_gap(d, rng.permutation(30), MetricKind.ACCURACY)
     assert res == res_perm
 
 
@@ -210,8 +213,8 @@ def test_metric_bounds_on_random_subsets():
         labels = rng.integers(0, 2, n).tolist()
         preds = rng.integers(0, 2, n).tolist()
         scores = rng.random(n).tolist()
-        subset = insts(labels, preds, scores=scores)
+        d = dataset_of(labels, preds, scores=scores)
         for kind in MetricKind:
-            value = performance(subset, kind)
+            value = performance(d, every_row(d), kind)
             if value is not None:
                 assert 0.0 <= value <= 1.0

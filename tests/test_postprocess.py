@@ -10,6 +10,7 @@ from logan.postprocess import (
     inertia,
     interpret_cluster,
     merge_small_clusters,
+    tokenize_texts,
 )
 
 from helpers import make_dataset, random_dataset
@@ -171,7 +172,7 @@ def test_compare_model_with_itself():
     d = random_dataset(rng, 150, n_blobs=3)
     cfg = LoganConfig(k=3, min_clusters=3)
     model = kmeans_fit(d, cfg)
-    report = compare(model, model, d, cfg)
+    report = compare(model, model, d, cluster_reports(model, d, cfg))
     assert report.inertia_ratio == 1.0
     assert 0.0 <= report.bcr <= 1.0
     assert 0.0 <= report.bir <= 1.0
@@ -182,7 +183,7 @@ def test_compare_all_correct_predictor():
     d = make_dataset(feats, ["a", "b"] * 50, [1, 0] * 50, [1, 0] * 50)
     cfg = LoganConfig(k=2, min_clusters=2)
     model = kmeans_fit(d, cfg)
-    report = compare(model, model, d, cfg)
+    report = compare(model, model, d, cluster_reports(model, d, cfg))
     assert report.bcr == 0.0
     assert report.bir == 0.0
     assert report.mean_abs_bias is None
@@ -193,7 +194,7 @@ def test_compare_zero_baseline_inertia_undefined():
     d = make_dataset(feats, ["a", "b", "a", "b"], [1] * 4, [1] * 4)
     model = manual_model([[0.0, 0.0]], [0] * 4)
     cfg = LoganConfig(k=1, min_clusters=1)
-    report = compare(model, model, d, cfg)
+    report = compare(model, model, d, cluster_reports(model, d, cfg))
     assert report.inertia_ratio is None
 
 
@@ -221,28 +222,29 @@ def tokens_fixture(cluster_text, corpus_extra_text, n_each=2):
         preds.append(1)
         texts.append(corpus_extra_text)
     d = make_dataset(feats, groups, labels, preds, texts=texts)
-    cluster = list(d.instances[:n_each])
-    return d, cluster
+    tokens, corpus_counts = tokenize_texts(d.texts)
+    return corpus_counts, tokens[:n_each]
 
 
 def test_interpret_cluster_overrepresented_tokens():
-    d, cluster = tokens_fixture("alpha beta", "gamma")
-    assert interpret_cluster(cluster, d.instances, top_n=2) == ("alpha", "beta")
+    corpus, cluster = tokens_fixture("alpha beta", "gamma")
+    assert interpret_cluster(cluster, corpus, top_n=2) == ("alpha", "beta")
 
 
 def test_interpret_cluster_stop_list_promotes_next():
-    d, cluster = tokens_fixture("alpha beta", "gamma")
-    top = interpret_cluster(cluster, d.instances, top_n=1, stop_tokens=("alpha",))
+    corpus, cluster = tokens_fixture("alpha beta", "gamma")
+    top = interpret_cluster(cluster, corpus, top_n=1, stop_tokens=("alpha",))
     assert top == ("beta",)
 
 
 def test_interpret_cluster_tie_is_lexicographic():
-    d, cluster = tokens_fixture("zeta alpha", "gamma gamma")
-    assert interpret_cluster(cluster, d.instances, top_n=2) == ("alpha", "zeta")
+    corpus, cluster = tokens_fixture("zeta alpha", "gamma gamma")
+    assert interpret_cluster(cluster, corpus, top_n=2) == ("alpha", "zeta")
 
 
 def test_interpret_cluster_without_text_raises():
     feats = [[0.0], [1.0]]
     d = make_dataset(feats, ["a", "b"], [1, 1], [1, 1])
+    tokens, corpus_counts = tokenize_texts(d.texts)
     with pytest.raises(ValueError, match="text"):
-        interpret_cluster(list(d.instances), d.instances)
+        interpret_cluster(tokens, corpus_counts)

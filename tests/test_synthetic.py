@@ -10,10 +10,12 @@ from logan.synthetic import (
     generate,
 )
 
+from helpers import assert_same_dataset
+
 
 def component_gap(dataset, comp):
-    subset = [inst for inst in dataset.instances if component_of(inst) == comp]
-    return group_gap(subset, MetricKind.ACCURACY, dataset.groups).gap
+    rows = [i for i, rid in enumerate(dataset.ids) if component_of(rid) == comp]
+    return group_gap(dataset, rows, MetricKind.ACCURACY).gap
 
 
 def test_generate_defaults_shape():
@@ -21,14 +23,14 @@ def test_generate_defaults_shape():
     assert d.n == 250
     assert d.dim == 2
     assert d.groups == ("a", "b")
-    assert all(inst.score is not None for inst in d.instances)
+    assert not np.isnan(d.scores).any()
 
 
 def test_generate_deterministic():
     spec = PlantedBiasSpec(n_per_component=60, seed=42)
     a = generate(spec)
     b = generate(spec)
-    assert a == b
+    assert_same_dataset(a, b)
 
 
 def test_planted_component_carries_the_gap():
@@ -57,7 +59,7 @@ def test_components_are_separated():
     spec = PlantedBiasSpec(n_per_component=30, seed=2)
     d = generate(spec)
     X = d.feature_matrix
-    comps = np.array([component_of(inst) for inst in d.instances])
+    comps = np.array([component_of(rid) for rid in d.ids])
     means = np.stack([X[comps == c].mean(axis=0) for c in range(spec.n_clusters)])
     for i in range(spec.n_clusters):
         for j in range(i + 1, spec.n_clusters):
@@ -69,17 +71,17 @@ def test_generated_dataset_passes_validation():
     rebuilt = build_dataset(
         [
             {
-                "id": inst.id,
-                "features": list(inst.features),
-                "group": inst.group,
-                "label": inst.label,
-                "pred": inst.prediction,
-                "score": inst.score,
+                "id": d.ids[i],
+                "features": d.feature_matrix[i].tolist(),
+                "group": d.groups[d.group_codes[i]],
+                "label": int(d.labels[i]),
+                "pred": int(d.preds[i]),
+                "score": float(d.scores[i]),
             }
-            for inst in d.instances
+            for i in range(d.n)
         ]
     )
-    assert rebuilt == d
+    assert_same_dataset(rebuilt, d)
 
 
 def test_spec_validation():
@@ -113,11 +115,12 @@ def test_brute_force_auc_examples():
             }
             for i in range(len(labels))
         ]
-        return build_dataset(rows).instances
+        d = build_dataset(rows)
+        return d.labels, d.scores
 
-    assert brute_force_auc(pair([1, 0], [0.9, 0.1])) == 1.0
-    assert brute_force_auc(pair([1, 0], [0.1, 0.9])) == 0.0
-    assert brute_force_auc(pair([1, 1, 0], [0.6, 0.4, 0.5])) == 0.5
+    assert brute_force_auc(*pair([1, 0], [0.9, 0.1])) == 1.0
+    assert brute_force_auc(*pair([1, 0], [0.1, 0.9])) == 0.0
+    assert brute_force_auc(*pair([1, 1, 0], [0.6, 0.4, 0.5])) == 0.5
 
 
 def test_brute_force_auc_degenerate_raises():
@@ -125,9 +128,9 @@ def test_brute_force_auc_degenerate_raises():
         {"id": "x0", "features": [0.0], "group": "a", "label": 1, "pred": 1, "score": 0.5},
         {"id": "x1", "features": [1.0], "group": "b", "label": 1, "pred": 1, "score": 0.5},
     ]
-    insts = build_dataset(rows).instances
+    d = build_dataset(rows)
     with pytest.raises(ValueError, match="both classes"):
-        brute_force_auc(insts)
+        brute_force_auc(d.labels, d.scores)
 
 
 def test_brute_force_objective_cap():
