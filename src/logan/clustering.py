@@ -44,6 +44,12 @@ and resumes right after the mover.  Deltas must be finite, because
 ``argmin`` picks a NaN where the loop's ``<`` never does; squared
 distances that overflow are rejected before the sweep.
 
+Squared distances come from ``_sq_dists``, in numpy alone: it adds the
+squared coordinate differences from the first coordinate to the last,
+starting at 0, as a plain per-pair loop does.  Summing in any other order
+(``np.sum``, ``einsum``, the ``|x|^2 - 2 x.c + |c|^2`` expansion) changes
+low bits of the distances, and through ties and the sweep, the fits.
+
 Every accepted sweep move has non-positive delta and the centroid update
 can only lower the clustering loss, so the recorded per-iteration totals
 are non-increasing except across a re-seed, which is a forced assignment
@@ -57,7 +63,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import Dataset, LoganConfig
 
@@ -281,7 +286,7 @@ def _apply_move(
     q: int,
     group: int,
     wi: int,
-    assign: list[int],
+    assign: np.ndarray,
     n1: list[int],
     n2: list[int],
     c1: list[int],
@@ -306,6 +311,25 @@ def _apply_move(
     sums[p] -= X[i]
     sums[q] += X[i]
     assign[i] = q
+
+
+def _sq_dists(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances from each instance to each
+    centroid; ``cols`` is the (dim, n) transpose of the feature matrix.
+    Each distance sums its squared coordinate differences from the first
+    coordinate to the last, starting at 0 (see the module docstring)."""
+    out = np.empty((cols.shape[1], len(centroids)), dtype=np.float64)
+    acc = np.empty(cols.shape[1], dtype=np.float64)
+    diff = np.empty_like(acc)
+    with np.errstate(over="ignore"):  # inf, as in a loop; sweeps reject it
+        for q, centroid in enumerate(centroids):
+            acc.fill(0.0)
+            for col, c in zip(cols, centroid):
+                np.subtract(col, c, out=diff)
+                diff *= diff
+                acc += diff
+            out[:, q] = acc
+    return out
 
 
 def _check_finite(dist: np.ndarray) -> None:
@@ -390,7 +414,7 @@ _FIRST_BLOCK = 64
 def _sweep_blocked(
     X: np.ndarray,
     dist: np.ndarray,
-    assign: list[int],
+    assign: np.ndarray,
     n1: list[int],
     n2: list[int],
     c1: list[int],
@@ -404,13 +428,12 @@ def _sweep_blocked(
     order: np.ndarray,
 ) -> int:
     """The assignment sweep of ``_sweep_sequential`` (same in-place updates,
-    bit-identical result; ``dist``, ``g``, ``w`` and ``order`` are arrays),
-    evaluated in blocks of visits: every row of a block before its first
-    mover stays put, the mover is applied, and the next block starts right
-    after it.  The block length doubles while no move is found and
-    restarts at twice the distance to the last move."""
+    bit-identical result; ``dist``, ``assign``, ``g``, ``w`` and ``order``
+    are arrays), evaluated in blocks of visits: every row of a block before
+    its first mover stays put, the mover is applied, and the next block
+    starts right after it.  The block length doubles while no move is found
+    and restarts at twice the distance to the last move."""
     _check_finite(dist)
-    own = np.array(assign, dtype=np.intp)
     kinds = 2 * g.astype(np.intp) + w
     leave, join = _bias_tables(n1, n2, c1, c2, term, lam)
     n_visits = len(order)
@@ -419,7 +442,7 @@ def _sweep_blocked(
     length = _FIRST_BLOCK
     while start < n_visits:
         idx = order[start : start + length]
-        own_blk = own[idx]
+        own_blk = assign[idx]
         delta = _move_deltas(dist[idx], own_blk, kinds[idx], leave, join, dist_scale)
         best = delta.argmin(axis=1)
         moved = best != own_blk
@@ -434,7 +457,6 @@ def _sweep_blocked(
         _apply_move(
             X, i, p, q, int(g[i]), int(w[i]), assign, n1, n2, c1, c2, term, sums
         )
-        own[i] = q
         _set_bias_column(leave, join, p, n1, n2, c1, c2, term, lam)
         _set_bias_column(leave, join, q, n1, n2, c1, c2, term, lam)
         moves += 1
@@ -453,38 +475,29 @@ def _fit_core(
     state.  ``sweep_order`` overrides the ascending visit order (used by
     permutation-equivariance tests)."""
     X = dataset.feature_matrix
-    n, dim = X.shape
+    cols = np.ascontiguousarray(X.T)
+    n = len(X)
     k = len(centroids)
     lam = cfg.lam
     dist_scale = 1.0 / n if cfg.normalize_clustering_loss else 1.0
-    g_arr = dataset.group_codes
-    w_arr = dataset.correct_flags
-    g = g_arr.tolist()
-    w = w_arr.tolist()
+    g = dataset.group_codes
+    w = dataset.correct_flags
+    first, ok = g == 0, w == 1
+    count_masks = (first, ~first, first & ok, ~first & ok)  # rows of n1, n2, c1, c2
     order = np.arange(n) if sweep_order is None else np.asarray(sweep_order, np.intp)
 
-    def tallies(assign_list: list[int]):
-        aa = np.asarray(assign_list, dtype=np.int64)
-        size_arr = np.bincount(aa, minlength=k)
-        m0 = g_arr == 0
-        n1_arr = np.bincount(aa[m0], minlength=k)
-        c1_arr = np.bincount(aa[m0 & (w_arr == 1)], minlength=k)
-        c2_arr = np.bincount(aa[~m0 & (w_arr == 1)], minlength=k)
-        sum_arr = np.zeros((k, dim), dtype=np.float64)
-        np.add.at(sum_arr, aa, X)
-        return (
-            size_arr.tolist(),
-            n1_arr.tolist(),
-            (size_arr - n1_arr).tolist(),
-            c1_arr.tolist(),
-            c2_arr.tolist(),
-            sum_arr,
-        )
+    def tallies(assign: np.ndarray):
+        """Per-cluster n1, n2, c1, c2 and gap terms (as lists) and feature
+        sums, recounted in full."""
+        counts = [np.bincount(assign[mask], minlength=k).tolist() for mask in count_masks]
+        sums = np.empty((k, len(cols)), dtype=np.float64)
+        for j, col in enumerate(cols):
+            sums[:, j] = np.bincount(assign, weights=col, minlength=k)
+        return (*counts, [_term(*cluster) for cluster in zip(*counts)], sums)
 
     centroids = np.array(centroids, dtype=np.float64)
-    assign = cdist(X, centroids, "sqeuclidean").argmin(axis=1).tolist()
-    sizes, n1, n2, c1, c2, sums = tallies(assign)
-    term = [_term(n1[j], n2[j], c1[j], c2[j]) for j in range(k)]
+    assign = _sq_dists(cols, centroids).argmin(axis=1)
+    n1, n2, c1, c2, term, sums = tallies(assign)
 
     def record() -> tuple[float, float, float]:
         diffs = X - centroids[assign]
@@ -496,31 +509,20 @@ def _fit_core(
         # Re-seed any emptied cluster with the instance farthest from its
         # stale centroid; donors must leave a nonempty cluster behind.
         while True:
-            empties = [j for j in range(k) if sizes[j] == 0]
-            if not empties:
+            sizes = np.add(n1, n2)
+            if sizes.all():
                 break
-            e = empties[0]
-            dist_to_e = np.sum((X - centroids[e]) ** 2, axis=1)
-            best_i = -1
-            best_d = -1.0
-            for i in range(n):
-                if sizes[assign[i]] < 2:
-                    continue
-                d_i = float(dist_to_e[i])
-                if d_i > best_d:
-                    best_d = d_i
-                    best_i = i
-            if best_i < 0:
+            e = int(sizes.argmin())
+            eligible = sizes[assign] >= 2
+            if not eligible.any():
                 raise RuntimeError("no eligible donor instance for empty cluster")
-            src = assign[best_i]
-            sizes[src] -= 1
-            sizes[e] += 1
+            dist_to_e = np.sum((X - centroids[e]) ** 2, axis=1)
+            donor = int(np.where(eligible, dist_to_e, -1.0).argmax())
             _apply_move(
-                X, best_i, src, e, g[best_i], w[best_i],
+                X, donor, int(assign[donor]), e, int(g[donor]), int(w[donor]),
                 assign, n1, n2, c1, c2, term, sums,
             )
-        for j in range(k):
-            centroids[j] = sums[j] / sizes[j]
+        centroids[:] = sums / sizes[:, None]
 
     # Initial half-step: nearest-seed assignment plus one centroid update,
     # so the first sweep already works against cluster means.
@@ -530,41 +532,26 @@ def _fit_core(
     iterations = 0
     for _ in range(cfg.max_iter):
         iterations += 1
+        dist = _sq_dists(cols, centroids)
         if lam == 0.0:
             # Bias term is inert: the sequential sweep reduces to batch
             # nearest-centroid assignment (ties toward the lowest index).
-            new_assign = cdist(X, centroids, "sqeuclidean").argmin(axis=1).tolist()
-            moves = sum(1 for i in range(n) if new_assign[i] != assign[i])
+            new_assign = dist.argmin(axis=1)
+            moves = int(np.count_nonzero(new_assign != assign))
             if moves:
                 assign = new_assign
-                sizes, n1, n2, c1, c2, sums = tallies(assign)
-                term = [_term(n1[j], n2[j], c1[j], c2[j]) for j in range(k)]
+                n1, n2, c1, c2, term, sums = tallies(assign)
         else:
             moves = _sweep_blocked(
-                X,
-                cdist(X, centroids, "sqeuclidean"),
-                assign,
-                n1,
-                n2,
-                c1,
-                c2,
-                term,
-                sums,
-                g_arr,
-                w_arr,
-                lam,
-                dist_scale,
-                order,
+                X, dist, assign, n1, n2, c1, c2, term, sums, g, w, lam, dist_scale, order
             )
-            for j in range(k):
-                sizes[j] = n1[j] + n2[j]
         update_centroids()
         trace.append(record())
         if moves == 0:
             converged = True
             break
 
-    assignment = np.array(assign, dtype=np.int64)
+    assignment = assign.astype(np.int64)
     assignment.setflags(write=False)
     final_centroids = centroids.copy()
     final_centroids.setflags(write=False)
@@ -621,18 +608,14 @@ def best_single_move_delta(
     the model's centroids held fixed.  A converged fit yields >= 0 (no
     improving move survives at termination)."""
     stats = ClusterStats.from_assignment(dataset, model.assignment, model.centroids)
-    dist = cdist(dataset.feature_matrix, model.centroids, "sqeuclidean")
+    dist = _sq_dists(np.ascontiguousarray(dataset.feature_matrix.T), model.centroids)
     _check_finite(dist)
     dist_scale = 1.0 / dataset.n if cfg.normalize_clustering_loss else 1.0
     own = np.asarray(model.assignment, dtype=np.intp)
     kinds = 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
     leave, join = _bias_tables(
-        stats.group_counts[:, 0].tolist(),
-        stats.group_counts[:, 1].tolist(),
-        stats.correct_counts[:, 0].tolist(),
-        stats.correct_counts[:, 1].tolist(),
-        stats.gap_terms().tolist(),
-        cfg.lam,
+        *stats.group_counts.T.tolist(), *stats.correct_counts.T.tolist(),
+        stats.gap_terms().tolist(), cfg.lam,
     )
     delta = _move_deltas(dist, own, kinds, leave, join, dist_scale)
     return min(0.0, float(delta.min()))

@@ -123,7 +123,10 @@ def _check_score(value: Any, row_id: str) -> float:
         return math.nan
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"score must be a number for instance {row_id!r}")
-    score = float(value)
+    try:
+        score = float(value)
+    except OverflowError:  # an int too large for a float
+        raise ValidationError(f"score outside [0, 1] for instance {row_id!r}") from None
     if not 0.0 <= score <= 1.0:
         raise ValidationError(
             f"score {score} outside [0, 1] for instance {row_id!r}"
@@ -170,7 +173,12 @@ class DatasetBuilder:
         for v in raw_features:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValidationError(f"non-numeric feature in instance {rid!r}: {v!r}")
-            fv = float(v)
+            try:
+                fv = float(v)
+            except OverflowError:  # an int too large for a float
+                raise ValidationError(
+                    f"feature out of float range in instance {rid!r}"
+                ) from None
             if not math.isfinite(fv):
                 raise ValidationError(f"non-finite feature in instance {rid!r}: {v!r}")
             feats.append(fv)

@@ -50,8 +50,8 @@ def load_jsonl(path: str | Path) -> Dataset:
                 continue
             try:
                 obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise LoadError(f"invalid JSON ({exc.msg})", line_no) from exc
+            except ValueError as exc:  # also an int literal over the digit limit
+                raise LoadError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no) from exc
             if not isinstance(obj, dict):
                 raise LoadError("each line must hold a JSON object", line_no)
             _add_row(builder, obj, line_no)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import Dataset
 
@@ -43,6 +42,17 @@ class GapResult:
     n_group2: int
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, tied values sharing their mean rank."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def _auc_from_arrays(labels: np.ndarray, scores: np.ndarray) -> float | None:
     """Rank-based AUC (Mann-Whitney form); ties between a positive and a
     negative score are credited 0.5.  None when either class is absent."""
@@ -50,7 +60,7 @@ def _auc_from_arrays(labels: np.ndarray, scores: np.ndarray) -> float | None:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     rank_sum = float(np.sum(ranks[labels == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

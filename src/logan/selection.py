@@ -30,17 +30,14 @@ class GridCell:
 
 @dataclass(frozen=True)
 class GridResult:
-    """All grid cells (in the order given) and the selected weight."""
+    """All grid cells (in the order given) and the selected one."""
 
     cells: tuple[GridCell, ...]
-    chosen_lambda: float
+    chosen: GridCell
 
     @property
-    def chosen(self) -> GridCell:
-        for cell in self.cells:
-            if cell.lam == self.chosen_lambda:
-                return cell
-        raise RuntimeError("chosen_lambda not present in grid cells")
+    def chosen_lambda(self) -> float:
+        return self.chosen.lam
 
 
 def grid_search(
@@ -80,4 +77,4 @@ def grid_search(
             )
         )
     best = max(cells, key=lambda c: (c.biased_count, c.max_gap, -c.lam))
-    return GridResult(cells=tuple(cells), chosen_lambda=best.lam)
+    return GridResult(cells=tuple(cells), chosen=best)

@@ -10,6 +10,7 @@ from logan.clustering import (
     ClusterModel,
     ClusterStats,
     _fit_core,
+    _sq_dists,
     _sweep_blocked,
     _sweep_sequential,
     _term,
@@ -402,12 +403,14 @@ def test_blocked_sweep_matches_sequential_loop_exactly(state):
     X, dist, assign, g, w, order, lam, dist_scale = state
     ref = _sweep_args(X, dist, assign, g, w)
     got = _sweep_args(X, dist, assign, g, w)
+    got = (np.array(got[0], dtype=np.intp), *got[1:])
     ref_moves = _sweep_sequential(
         X, dist.tolist(), *ref, g.tolist(), w.tolist(), lam, dist_scale, order.tolist()
     )
     got_moves = _sweep_blocked(X, dist, *got, g, w, lam, dist_scale, order)
     assert got_moves == ref_moves
-    for ref_part, got_part in zip(ref[:5], got[:5]):
+    assert got[0].tolist() == ref[0]
+    for ref_part, got_part in zip(ref[1:5], got[1:5]):
         assert got_part == ref_part
     assert np.array(got[5]).tobytes() == np.array(ref[5]).tobytes()
     assert got[6].tobytes() == ref[6].tobytes()
@@ -445,3 +448,39 @@ def test_overflowing_distances_rejected():
     cfg = cfg_for(2, lam=1.0, min_clusters=2)
     with pytest.raises(ValueError, match="overflow"):
         logan_fit(d, cfg, initial_centroids=np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+# ------------------------------------------- numpy distances vs scipy's cdist
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 8),
+    st.integers(1, 60),
+    st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6, 1e155]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_sq_dists_matches_cdist_bitwise(dim, k, n, scale, on_grid, seed):
+    """Integer-grid inputs give exact ties; at scale 1e155 some squared
+    differences overflow to inf."""
+    rng = np.random.default_rng(seed)
+    if on_grid:
+        X = rng.integers(-3, 4, size=(n, dim)) * scale
+        centroids = rng.integers(-6, 7, size=(k, dim)) / 2.0 * scale
+    else:
+        X = rng.standard_normal((n, dim)) * scale
+        centroids = rng.standard_normal((k, dim)) * scale
+    with np.errstate(over="ignore"):
+        expected = cdist(X, centroids, "sqeuclidean")
+    got = _sq_dists(np.ascontiguousarray(X.T), centroids)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_sq_dists_single_instance_and_overflow():
+    X = np.array([[1e200, -3.0]])
+    centroids = np.array([[0.0, 0.0], [1e200, -3.0], [-1e200, 1.0]])
+    got = _sq_dists(np.ascontiguousarray(X.T), centroids)
+    assert got.tolist() == [[np.inf, 0.0, np.inf]]
+    assert got.tobytes() == cdist(X, centroids, "sqeuclidean").tobytes()

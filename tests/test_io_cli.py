@@ -1,12 +1,21 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+import logan
 
 from logan.cli import main, run_detect
 from logan.data import LoganConfig
@@ -503,3 +512,157 @@ def test_module_invocation_smoke(planted_file, tmp_path):
     )
     assert proc.returncode in (0, 2)
     assert out.exists()
+
+
+@pytest.mark.parametrize("digits", [401, 5000])
+@pytest.mark.parametrize("field", ["features", "score"])
+def test_huge_json_integer_is_a_line_error(tmp_path, capsys, field, digits):
+    huge = "9" * digits
+    bad = jsonl_line(1, **{field: [0.5, 0.5] if field == "features" else 0.5})
+    bad = bad.replace("0.5", huge, 1)
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [jsonl_line(0), bad, jsonl_line(2)])
+    out = tmp_path / "report.json"
+    code = main(["baseline", "--input", str(path), "--output", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert "Traceback" not in err
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(logan.__file__).resolve().parents[1])
+    probe = "import logan, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------- CLI fuzz (bounded)
+
+_FUZZ_FLAGS = {
+    "--k": ["1", "2", "3", "5", "0", "-1", "x", "99"],
+    "--lambdas": ["1", "0", "0,5,100", "nan", "inf", "-1", "1,x", ",", "1e308"],
+    "--seed": ["0", "3", "-2", "x"],
+    "--bias-threshold": ["0", "0.05", "1", "-0.1", "nan", "inf", "x"],
+    "--min-per-group": ["0", "1", "2", "-1"],
+    "--min-cluster-total": ["0", "3", "50", "-1"],
+    "--min-clusters": ["1", "2", "0", "x"],
+    "--max-iter": ["1", "3", "0"],
+    "--metrics": ["accuracy", "auc,fpr", "accuracy,auc,fpr", "bogus", ""],
+}
+
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.floats(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+def _fuzz_rows(n=32):
+    """Rows on which group "a" is right about half as often as group "b"."""
+    rng = np.random.default_rng(5)
+    for i in range(n):
+        label = int(rng.integers(2))
+        group = "a" if i % 2 else "b"
+        right = rng.random() < (0.5 if group == "a" else 0.95)
+        yield {
+            "id": f"z{i}",
+            "features": [float(i % 4), float(rng.normal())],
+            "group": group,
+            "label": label,
+            "pred": label if right else 1 - label,
+            "score": float(rng.random()),
+        }
+
+
+@st.composite
+def fuzz_inputs(draw):
+    """Input lines with at most one line corrupted: a field set to an odd
+    value or removed, or the whole line replaced by arbitrary text."""
+    fmt = draw(st.sampled_from(["jsonl", "csv"]))
+    rows = list(_fuzz_rows())
+    at = draw(st.integers(0, len(rows) - 1))
+    how = draw(st.sampled_from(["none", "value", "drop", "text"]))
+    field = draw(st.sampled_from(["id", "features", "group", "label", "pred", "score"]))
+    if how == "value":
+        rows[at][field] = draw(_ODD_VALUES)
+    elif how == "drop":
+        del rows[at][field]
+    if fmt == "jsonl":
+        lines = [json.dumps(row) for row in rows]
+    else:
+        lines = ["id,f0,f1,group,label,pred,score"]
+        for row in rows:
+            feats = row.get("features", [])
+            cells = [row.get("id", ""), *(feats if isinstance(feats, list) else [feats])]
+            cells += [row.get(key, "") for key in ("group", "label", "pred", "score")]
+            lines.append(",".join(map(str, cells)))
+    if how == "text":
+        lines[at + (fmt == "csv")] = draw(st.text(max_size=30))
+    return fmt, lines
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    st.sampled_from(["detect", "baseline"]),
+    fuzz_inputs(),
+    st.lists(
+        st.sampled_from([f"{flag}={v}" for flag, vals in _FUZZ_FLAGS.items() for v in vals]),
+        max_size=4,
+    ),
+    st.booleans(),
+)
+def test_cli_fuzz_exit_codes_and_reports(command, inputs, flags, standardize):
+    fmt, lines = inputs
+    if command == "baseline":
+        flags = [flag for flag in flags if not flag.startswith("--lambdas=")]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"input.{fmt}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = Path(tmp) / "report.json"
+        # small thresholds so that bias can be found; fuzzed flags override
+        argv = [command, "--input", str(path), "--format", fmt, "--output", str(out),
+                "--min-per-group=3", "--min-cluster-total=6", "--k=4", "--min-clusters=2",
+                *flags]
+        if standardize:
+            argv.append("--standardize")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage error
+                code = exc.code
+        event(f"exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 1:
+            assert stderr.getvalue()
+        if out.exists():
+            report = _strict_json(out.read_text(encoding="utf-8"))
+            biased = any(cluster["biased"] for cluster in report["clusters"])
+            assert (code == 2) == biased
+        else:
+            assert code == 1

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from logan.metrics import (
     MetricKind,
     _auc_from_arrays,
+    _average_ranks,
     global_bias,
     group_gap,
     performance,
@@ -218,3 +220,16 @@ def test_metric_bounds_on_random_subsets():
             value = performance(d, every_row(d), kind)
             if value is not None:
                 assert 0.0 <= value <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_average_ranks_match_rankdata_bitwise(values):
+    v = np.array(values, dtype=np.float64)
+    assert _average_ranks(v).tobytes() == rankdata(v, method="average").tobytes()
