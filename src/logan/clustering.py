@@ -44,6 +44,26 @@ and resumes right after the mover.  Deltas must be finite, because
 ``argmin`` picks a NaN where the loop's ``<`` never does; squared
 distances that overflow are rejected before the sweep.
 
+At lambda = 0 the sweep is the argmin of each row of ``_sq_dists``
+(lowest index on ties), and ``_LloydBounds`` evaluates only the rows whose
+argmin can have changed (Hamerly, SDM 2010).  Each row keeps an upper bound
+U on its true distance to its own centroid and a lower bound L on its true
+distance to every other centroid.  After a centroid update U grows by the
+distance its own centroid moved and L shrinks by the largest such distance
+(triangle inequality); shifts and bounds are rounded outward.  A computed
+squared distance over d coordinates is within (d+2)*2**-53 of the true one
+relatively, plus d*2**-1074 from squares that underflow.  So a row with
+U*(1+rho) + s < L*(1-rho), rho = (d+2)*2**-52 (twice that bound, which also
+covers the rounding of the test) and s = sqrt(8*d*2**-1074), computes a
+distance to its own centroid strictly below every other one: the full
+argmin keeps it, and no tie is possible.  The other rows get exact
+``_sq_dists`` rows, their argmin and fresh bounds.  NaN and infinite bounds
+never certify a row, a row moved by a re-seed loses its bounds, and every
+row is evaluated while data and centroids span a box whose squared
+diagonal comes near overflow, so overflow is reported exactly when the
+full matrix would show it.  Assignments, centroids and traces are those of
+a full argmin in every iteration, bit for bit.
+
 Squared distances come from ``_sq_dists``, in numpy alone: it adds the
 squared coordinate differences from the first coordinate to the last,
 starting at 0, as a plain per-pair loop does.  Summing in any other order
@@ -179,7 +199,8 @@ def objective(
 def kmeanspp_init(dataset: Dataset, k: int, seed: int) -> np.ndarray:
     """k-means++ seeding: first centroid uniform over instances, each next
     one sampled proportionally to squared distance from the nearest chosen
-    centroid.  Deterministic for a given seed."""
+    centroid.  Deterministic for a given seed.  Raises ``ValueError`` when
+    the squared distances overflow float64."""
     n = dataset.n
     if k > n:
         raise ValueError(f"k={k} exceeds the number of instances ({n})")
@@ -190,16 +211,18 @@ def kmeanspp_init(dataset: Dataset, k: int, seed: int) -> np.ndarray:
     centroids = np.empty((k, dataset.dim), dtype=np.float64)
     idx = int(rng.integers(n))
     centroids[0] = X[idx]
-    closest = np.sum((X - centroids[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = float(closest.sum())
-        if total > 0.0:
-            idx = int(rng.choice(n, p=closest / total))
-        else:
-            # fewer distinct positions than k: fall back to uniform
-            idx = int(rng.integers(n))
-        centroids[j] = X[idx]
-        np.minimum(closest, np.sum((X - centroids[j]) ** 2, axis=1), out=closest)
+    with np.errstate(over="ignore"):  # inf, rejected before sampling
+        closest = np.sum((X - centroids[0]) ** 2, axis=1)
+        for j in range(1, k):
+            total = closest.sum()
+            _check_finite(total)
+            if total > 0.0:
+                idx = int(rng.choice(n, p=closest / float(total)))
+            else:
+                # fewer distinct positions than k: fall back to uniform
+                idx = int(rng.integers(n))
+            centroids[j] = X[idx]
+            np.minimum(closest, np.sum((X - centroids[j]) ** 2, axis=1), out=closest)
     return centroids
 
 
@@ -313,12 +336,16 @@ def _apply_move(
     assign[i] = q
 
 
-def _sq_dists(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _sq_dists(
+    cols: np.ndarray, centroids: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """(n, k) squared Euclidean distances from each instance to each
     centroid; ``cols`` is the (dim, n) transpose of the feature matrix.
     Each distance sums its squared coordinate differences from the first
-    coordinate to the last, starting at 0 (see the module docstring)."""
-    out = np.empty((cols.shape[1], len(centroids)), dtype=np.float64)
+    coordinate to the last, starting at 0 (see the module docstring).
+    Written into ``out`` when it is given."""
+    if out is None:
+        out = np.empty((cols.shape[1], len(centroids)), dtype=np.float64)
     acc = np.empty(cols.shape[1], dtype=np.float64)
     diff = np.empty_like(acc)
     with np.errstate(over="ignore"):  # inf, as in a loop; sweeps reject it
@@ -338,6 +365,82 @@ def _check_finite(dist: np.ndarray) -> None:
             "squared distances to the centroids overflow float64; "
             "rescale the features (e.g. --standardize)"
         )
+
+
+# A fit whose data and centroids fit in a box with a smaller squared
+# diagonal cannot overflow a squared distance, whatever the rounding.
+_SAFE_SQ_SPAN = 2.0**1020
+
+
+class _LloydBounds:
+    """Hamerly bounds that let the lambda = 0 assignment skip the rows whose
+    nearest centroid cannot change (see the module docstring).
+
+    ``upper[i]`` bounds the true distance from instance i to its own
+    centroid from above and ``lower[i]`` its distance to every other
+    centroid from below; inf in ``upper`` marks a row with no bounds.
+    """
+
+    def __init__(self, cols: np.ndarray, k: int) -> None:
+        dim, n = cols.shape
+        self.cols = cols
+        self.box = (cols.min(axis=1), cols.max(axis=1))
+        self.upper = np.full(n, np.inf)
+        self.lower = np.zeros(n)
+        self.dist = np.empty((n, k), dtype=np.float64)
+        rho = (dim + 2) * 2.0**-52
+        self.err = dim * 2.0**-1074  # absolute error of underflowing squares
+        self.slack = math.sqrt(8.0 * self.err)
+        self.certify = (1.0 + rho, 1.0 - rho)
+        self.fresh = (1.0 + 2.0 * rho, 1.0 - 2.0 * rho)
+
+    def invalidate(self, i: int) -> None:
+        self.upper[i] = np.inf
+
+    def nearest(self, centroids: np.ndarray, assign: np.ndarray) -> int:
+        """Set ``assign`` to the argmin of the full ``_sq_dists`` matrix
+        (lowest index on ties) and return the number of rows that changed
+        cluster; only rows the bounds cannot certify are evaluated."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = np.maximum(self.box[1], centroids.max(axis=0)) - np.minimum(
+                self.box[0], centroids.min(axis=0)
+            )
+            safe = float(span @ span) < _SAFE_SQ_SPAN
+        if safe:
+            up, down = self.certify
+            certified = self.upper * up + self.slack < self.lower * down
+            certified &= np.isfinite(self.lower)
+            rows = np.flatnonzero(~certified)
+        else:
+            # a distance may overflow: evaluate every row, as the full
+            # argmin does, so that _check_finite raises exactly when it would
+            rows = np.arange(len(assign))
+        dist = _sq_dists(self.cols[:, rows], centroids, out=self.dist[: len(rows)])
+        _check_finite(dist)
+        best = dist.argmin(axis=1)
+        moves = int(np.count_nonzero(best != assign[rows]))
+        assign[rows] = best
+        at_best = (np.arange(len(rows)), best)
+        own = dist[at_best]
+        dist[at_best] = np.inf
+        up, down = self.fresh
+        self.upper[rows] = np.sqrt(own + self.err) * up
+        self.lower[rows] = np.sqrt(np.maximum(dist.min(axis=1) - self.err, 0.0)) * down
+        return moves
+
+    def shift(self, old: np.ndarray, new: np.ndarray, assign: np.ndarray) -> None:
+        """Loosen the bounds by how far the centroids moved from ``old`` to
+        ``new``: each upper bound by its own centroid's shift, each lower
+        bound by the largest shift, rounding outward."""
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN never certifies
+            diff = new - old
+            moved = np.sqrt(np.sum(diff * diff, axis=1) + self.err) * self.fresh[0]
+            # The factors undo the rounding of the sum or difference: the
+            # upper bound only rises and a positive lower bound only falls.
+            self.upper += moved[assign]
+            self.upper *= 1.0 + 2.0**-51
+            self.lower -= moved.max()
+            self.lower *= 1.0 - 2.0**-51
 
 
 def _set_bias_column(
@@ -482,14 +585,19 @@ def _fit_core(
     dist_scale = 1.0 / n if cfg.normalize_clustering_loss else 1.0
     g = dataset.group_codes
     w = dataset.correct_flags
-    first, ok = g == 0, w == 1
-    count_masks = (first, ~first, first & ok, ~first & ok)  # rows of n1, n2, c1, c2
+    kinds = 2 * g.astype(np.intp) + w  # 2 * group + correct
     order = np.arange(n) if sweep_order is None else np.asarray(sweep_order, np.intp)
 
     def tallies(assign: np.ndarray):
         """Per-cluster n1, n2, c1, c2 and gap terms (as lists) and feature
         sums, recounted in full."""
-        counts = [np.bincount(assign[mask], minlength=k).tolist() for mask in count_masks]
+        by_kind = np.bincount(4 * assign + kinds, minlength=4 * k).reshape(k, 4)
+        counts = [
+            (by_kind[:, 0] + by_kind[:, 1]).tolist(),
+            (by_kind[:, 2] + by_kind[:, 3]).tolist(),
+            by_kind[:, 1].tolist(),
+            by_kind[:, 3].tolist(),
+        ]
         sums = np.empty((k, len(cols)), dtype=np.float64)
         for j, col in enumerate(cols):
             sums[:, j] = np.bincount(assign, weights=col, minlength=k)
@@ -498,9 +606,16 @@ def _fit_core(
     centroids = np.array(centroids, dtype=np.float64)
     assign = _sq_dists(cols, centroids).argmin(axis=1)
     n1, n2, c1, c2, term, sums = tallies(assign)
+    if lam == 0.0:
+        bounds = _LloydBounds(cols, k)
+    else:
+        dist = np.empty((n, k), dtype=np.float64)
+    gathered = np.empty_like(X, order="C")
 
     def record() -> tuple[float, float, float]:
-        diffs = X - centroids[assign]
+        # mode="clip" writes straight into ``out``; "raise" would buffer.
+        np.take(centroids, assign, axis=0, mode="clip", out=gathered)
+        diffs = np.subtract(X, gathered, out=gathered)
         l_c = float(np.einsum("ij,ij->", diffs, diffs))
         l_b = -float(sum(term))
         return (l_c, l_b, dist_scale * l_c + lam * l_b)
@@ -522,6 +637,8 @@ def _fit_core(
                 X, donor, int(assign[donor]), e, int(g[donor]), int(w[donor]),
                 assign, n1, n2, c1, c2, term, sums,
             )
+            if lam == 0.0:
+                bounds.invalidate(donor)
         centroids[:] = sums / sizes[:, None]
 
     # Initial half-step: nearest-seed assignment plus one centroid update,
@@ -532,20 +649,21 @@ def _fit_core(
     iterations = 0
     for _ in range(cfg.max_iter):
         iterations += 1
-        dist = _sq_dists(cols, centroids)
         if lam == 0.0:
             # Bias term is inert: the sequential sweep reduces to batch
             # nearest-centroid assignment (ties toward the lowest index).
-            new_assign = dist.argmin(axis=1)
-            moves = int(np.count_nonzero(new_assign != assign))
+            moves = bounds.nearest(centroids, assign)
             if moves:
-                assign = new_assign
                 n1, n2, c1, c2, term, sums = tallies(assign)
+            previous = centroids.copy()
+            update_centroids()
+            bounds.shift(previous, centroids, assign)
         else:
+            _sq_dists(cols, centroids, out=dist)
             moves = _sweep_blocked(
                 X, dist, assign, n1, n2, c1, c2, term, sums, g, w, lam, dist_scale, order
             )
-        update_centroids()
+            update_centroids()
         trace.append(record())
         if moves == 0:
             converged = True

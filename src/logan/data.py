@@ -245,12 +245,20 @@ def standardize_features(dataset: Dataset) -> Dataset:
 
     Each coordinate is centered to mean 0 and scaled to unit (population)
     standard deviation.  Constant coordinates are set to exactly 0.  The
-    input dataset is left untouched.
+    input dataset is left untouched.  Raises ``ValidationError`` when a
+    coordinate's mean or standard deviation is not finite.
     """
     mat = dataset.feature_matrix
     constant = np.all(mat == mat[0], axis=0)
-    mean = mat.mean(axis=0)
-    std = mat.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean = mat.mean(axis=0)
+        std = mat.std(axis=0)
+    bad = ~(np.isfinite(mean) & np.isfinite(std))
+    if bad.any():
+        raise ValidationError(
+            f"feature coordinate {int(bad.argmax())} has a mean or standard "
+            "deviation that overflows float64; rescale the features"
+        )
     out = mat - mean
     scale_cols = ~constant & (std > 0)
     out[:, scale_cols] /= std[scale_cols]

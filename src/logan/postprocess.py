@@ -128,9 +128,8 @@ def merge_small_clusters(
         return j
 
     remap = {old: new for new, old in enumerate(live)}
-    new_assign = np.array(
-        [remap[root(int(j))] for j in model.assignment], dtype=np.int64
-    )
+    new_ids = np.array([remap[root(j)] for j in range(k)], dtype=np.int64)
+    new_assign = new_ids[model.assignment]
     new_centroids = np.stack([centroids[old] for old in live])
     new_assign.setflags(write=False)
     new_centroids.setflags(write=False)

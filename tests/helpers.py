@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from logan.clustering import ClusterStats, _term
+from logan.clustering import ClusterStats, _sq_dists, _term
 from logan.data import Dataset, build_dataset
 
 
@@ -115,3 +115,71 @@ def reference_best_single_move_delta(dataset: Dataset, model, cfg) -> float:
             if delta < best:
                 best = delta
     return best
+
+
+def reference_lloyd(dataset: Dataset, seeds: np.ndarray, cfg):
+    """Lloyd k-means as ``kmeans_fit`` defines it, taking the argmin of the
+    full ``_sq_dists`` matrix (lowest index on ties) in every iteration.
+
+    Nearest-seed assignment and a centroid update come first, then
+    assignment and update until nothing moves or ``cfg.max_iter`` is hit.
+    Tallies are recounted after an assignment that moved something.  A
+    cluster left empty takes the instance farthest from its stale centroid
+    among those whose cluster keeps another member (lowest index on ties),
+    and its tallies move with it.  Returns (assignment, centroids,
+    objective trace, iterations run, converged).
+    """
+    X = dataset.feature_matrix
+    cols = np.ascontiguousarray(X.T)
+    n = len(X)
+    scale = 1.0 / n if cfg.normalize_clustering_loss else 1.0
+    g = dataset.group_codes
+    w = dataset.correct_flags
+    centroids = np.array(seeds, dtype=np.float64)
+    assign = _sq_dists(cols, centroids).argmin(axis=1)
+    stats = ClusterStats.from_assignment(dataset, assign, centroids)
+
+    def update():
+        while True:
+            sizes = stats.group_counts.sum(axis=1)
+            if sizes.all():
+                break
+            e = int(sizes.argmin())
+            far = np.sum((X - centroids[e]) ** 2, axis=1)
+            i = int(np.where(sizes[assign] >= 2, far, -1.0).argmax())
+            p, a = int(assign[i]), int(g[i])
+            stats.group_counts[p, a] -= 1
+            stats.group_counts[e, a] += 1
+            stats.correct_counts[p, a] -= int(w[i])
+            stats.correct_counts[e, a] += int(w[i])
+            stats.sums[p] -= X[i]
+            stats.sums[e] += X[i]
+            assign[i] = e
+        centroids[:] = stats.sums / sizes[:, None]
+
+    def record():
+        diffs = X - centroids[assign]
+        l_c = float(np.einsum("ij,ij->", diffs, diffs))
+        terms = [
+            _term(*counts, *correct)
+            for counts, correct in zip(stats.group_counts.tolist(), stats.correct_counts.tolist())
+        ]
+        l_b = -float(sum(terms))
+        return (l_c, l_b, scale * l_c + 0.0 * l_b)
+
+    update()
+    trace = [record()]
+    for iteration in range(1, cfg.max_iter + 1):
+        dist = _sq_dists(cols, centroids)
+        if not np.isfinite(dist).all():
+            raise ValueError("squared distances overflow")
+        nearest = dist.argmin(axis=1)
+        moved = bool(np.any(nearest != assign))
+        if moved:
+            assign = nearest
+            stats = ClusterStats.from_assignment(dataset, assign, centroids)
+        update()
+        trace.append(record())
+        if not moved:
+            return assign, centroids, tuple(trace), iteration, True
+    return assign, centroids, tuple(trace), cfg.max_iter, False

@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist
 from logan.clustering import (
     ClusterModel,
     ClusterStats,
+    _LloydBounds,
     _fit_core,
     _sq_dists,
     _sweep_blocked,
@@ -27,6 +28,7 @@ from helpers import (
     make_dataset,
     random_dataset,
     reference_best_single_move_delta,
+    reference_lloyd,
     rows_from_arrays,
 )
 
@@ -445,9 +447,61 @@ def test_best_single_move_delta_matches_loop_exactly(state, lam, normalize):
 def test_overflowing_distances_rejected():
     feats = [[0.0, 0.0], [1.0, 0.0], [1e200, 0.0], [-1e200, 0.0]]
     d = make_dataset(feats, ["a", "b", "a", "b"], [0, 1, 0, 1], [0, 1, 1, 1])
-    cfg = cfg_for(2, lam=1.0, min_clusters=2)
-    with pytest.raises(ValueError, match="overflow"):
-        logan_fit(d, cfg, initial_centroids=np.array([[0.0, 0.0], [1.0, 0.0]]))
+    for lam in (0.0, 1.0):
+        cfg = cfg_for(2, lam=lam, min_clusters=2)
+        with pytest.raises(ValueError, match="overflow"):
+            logan_fit(d, cfg, initial_centroids=np.array([[0.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="overflow float64; rescale the features"):
+        kmeanspp_init(d, 2, seed=0)
+
+
+# ------------------------------------- bound-pruned k-means vs full-argmin Lloyd
+
+@st.composite
+def lloyd_states(draw):
+    """A dataset, seeds and config for a lambda = 0 fit.  Integer-grid
+    features give exact distance ties and duplicate points; seeds drawn
+    from the rows with replacement repeat and force re-seeds; the data may
+    sit far from the origin; scales reach where squares underflow."""
+    n = draw(st.integers(2, 80))
+    dim = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(-3, 4, size=(n, dim)).astype(np.float64)
+    else:
+        centers = rng.uniform(-6.0, 6.0, size=(draw(st.integers(1, 5)), dim))
+        X = centers[rng.integers(len(centers), size=n)] + rng.standard_normal((n, dim))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e12]))
+    scale = draw(st.sampled_from([1e-160, 1e-150, 1e-8, 1.0, 1e8, 1e150]))
+    X = (X + offset) * scale
+    groups = ["a", *np.where(rng.random(n - 2) < 0.5, "a", "b").tolist(), "b"]
+    labels = rng.integers(0, 2, size=n)
+    d = make_dataset(X, groups, labels, np.where(rng.random(n) < 0.8, labels, 1 - labels))
+    if draw(st.booleans()):
+        seeds = d.feature_matrix[rng.integers(n, size=k)]
+    else:
+        seeds = kmeanspp_init(d, k, seed=int(rng.integers(1000)))
+    cfg = cfg_for(
+        k,
+        min_clusters=1,
+        max_iter=draw(st.sampled_from([1, 2, 3, 100])),
+        normalize_clustering_loss=draw(st.booleans()),
+    )
+    return d, seeds, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(lloyd_states())
+def test_kmeans_fit_matches_full_argmin_lloyd_exactly(state):
+    d, seeds, cfg = state
+    model = kmeans_fit(d, cfg, initial_centroids=seeds)
+    assign, centroids, trace, iterations, converged = reference_lloyd(d, seeds, cfg)
+    assert model.assignment.tolist() == assign.tolist()
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
+    assert model.iterations_run == iterations
+    assert model.converged == converged
 
 
 # ------------------------------------------- numpy distances vs scipy's cdist
@@ -484,3 +538,15 @@ def test_sq_dists_single_instance_and_overflow():
     got = _sq_dists(np.ascontiguousarray(X.T), centroids)
     assert got.tolist() == [[np.inf, 0.0, np.inf]]
     assert got.tobytes() == cdist(X, centroids, "sqeuclidean").tobytes()
+
+
+def test_lloyd_bounds_evaluate_every_row_when_distances_may_overflow():
+    cols = np.array([[0.0, 1.0, 2.0]])
+    bounds = _LloydBounds(cols, 2)
+    bounds.upper[:] = 0.0
+    bounds.lower[:] = 1.0  # certify every row
+    assign = np.zeros(3, dtype=np.intp)
+    assert bounds.nearest(np.array([[0.0], [1.5]]), assign) == 0
+    assert assign.tolist() == [0, 0, 0]
+    with pytest.raises(ValueError, match="overflow"):
+        bounds.nearest(np.array([[0.0], [1e200]]), assign)

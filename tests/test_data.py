@@ -117,6 +117,14 @@ def test_standardize_constant_column_zeroed():
     assert abs(col1.std() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("value", [1e160, -1e160, 1e308])
+def test_standardize_rejects_overflowing_statistics(value):
+    feats = [[0.0, 1.0], [value, 2.0], [1.0, 3.0]]
+    d = make_dataset(feats, ["a", "b", "a"], [0] * 3, [0] * 3)
+    with pytest.raises(ValidationError, match="feature coordinate 0 .* overflows"):
+        standardize_features(d)
+
+
 def test_standardize_leaves_input_untouched():
     d = make_dataset([[1.0], [3.0]], ["a", "b"], [0, 0], [0, 0])
     standardize_features(d)

@@ -531,6 +531,31 @@ def test_huge_json_integer_is_a_line_error(tmp_path, capsys, field, digits):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("standardize", [False, True])
+def test_overflowing_features_exit_one_without_warnings(tmp_path, standardize):
+    rng = np.random.default_rng(0)
+    lines = [
+        jsonl_line(i, features=[float(rng.standard_normal() * 1e160), float(rng.standard_normal())])
+        for i in range(200)
+    ]
+    path = tmp_path / "data.jsonl"
+    write_lines(path, lines)
+    out = tmp_path / "report.json"
+    args = ["baseline", "--input", str(path), "--output", str(out)]
+    src = str(Path(logan.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "logan", *args, *(["--standardize"] if standardize else [])],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "float64; rescale the features" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not out.exists()
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(logan.__file__).resolve().parents[1])
     probe = "import logan, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
