@@ -25,11 +25,9 @@ from .metrics import (
 )
 from .clustering import (
     ClusterModel,
-    ClusterStats,
     kmeans_fit,
     kmeanspp_init,
     logan_fit,
-    objective,
 )
 from .postprocess import (
     ClusterReport,
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClusterModel",
     "ClusterReport",
-    "ClusterStats",
     "ComparisonReport",
     "Dataset",
     "GapResult",
@@ -76,7 +73,6 @@ __all__ = [
     "kmeanspp_init",
     "logan_fit",
     "merge_small_clusters",
-    "objective",
     "performance",
     "random_split_baseline",
     "standardize_features",

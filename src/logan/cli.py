@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, NoReturn, Sequence
 
-from . import __version__
+from . import __version__, clustering
 from .clustering import kmeans_fit
 from .data import LoganConfig, ValidationError, standardize_features
 from .io import (
@@ -92,9 +92,11 @@ def run_detect(
     if cfg.standardize:
         dataset = standardize_features(dataset)
 
-    baseline_model = merge_small_clusters(kmeans_fit(dataset, cfg), dataset, cfg)
+    # k-means and every grid cell start from the same seeds
+    seeds = clustering.kmeanspp_init(dataset, cfg.k, cfg.seed)
+    baseline_model = merge_small_clusters(kmeans_fit(dataset, cfg, seeds), dataset, cfg)
     if lambdas is not None:
-        grid = grid_search(dataset, cfg, lambdas)
+        grid = grid_search(dataset, cfg, lambdas, initial_centroids=seeds)
         audited_model = grid.chosen.model
         chosen_lambda: float | None = grid.chosen_lambda
         comparison = comparison_to_dict(

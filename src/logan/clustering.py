@@ -27,22 +27,26 @@ sweep (or ``max_iter`` is hit):
     cluster keeps at least one other member are eligible; ties toward the
     lowest instance index).
 
-The sweep is evaluated in numpy blocks of consecutive visits, and is
-exact (bit-identical to the one-instance-at-a-time loop kept in
-``_sweep_sequential``) for four reasons.  Centroids are fixed during a
-sweep, and an unvisited instance keeps its cluster p until it is visited,
-so its distance part ``dist_scale * (D[i, q] - D[i, p])`` is fixed for the
-whole sweep.  The bias part depends on the running counts only through two
-(4, k) tables indexed by the instance's kind (group, correct): the reward
-lost by leaving p and the reward gained by joining q, both built with the
-same scalar arithmetic as the loop and added in the loop's order.  A move
-changes only the two table columns of the clusters it touches.  So every
-row of a block before its first mover sees exactly the state the loop
-would, ``argmin`` with the stay column set to 0.0 applies the loop's
-lowest-index tie-break, and after a move the sweep refreshes two columns
-and resumes right after the mover.  Deltas must be finite, because
-``argmin`` picks a NaN where the loop's ``<`` never does; squared
-distances that overflow are rejected before the sweep.
+The sweep is evaluated in numpy blocks of consecutive visits, and is exact
+(bit-identical to the one-instance-at-a-time loop that
+``tests/helpers.py`` keeps as the reference) for four reasons.  Centroids
+are fixed during a sweep, and an unvisited instance keeps its cluster p
+until it is visited, so its distance part ``dist_scale * (D[i, q] -
+D[i, p])`` is fixed for the whole sweep: it is computed once per sweep
+for every visit.  An instance that an order visits again after it moved gets
+the distance part of its new cluster.  The bias part depends on the
+running counts only through one (8, k) table indexed by the instance's
+kind (group, correct): rows 0-3 hold the reward lost by leaving a cluster
+and rows 4-7 the reward gained by joining it, both built with the same
+scalar arithmetic as the loop.  A delta adds its leave entry and then its
+join entry to its distance part, the loop's order.  A move changes only
+the two table columns of the clusters it touches.  So every row of a block
+before its first mover sees exactly the state the loop would, ``argmin``
+with the stay column set to 0.0 applies the loop's lowest-index tie-break,
+and after a move the sweep refreshes two columns and resumes right after
+the mover.  Deltas must be finite, because ``argmin`` picks a NaN where
+the loop's ``<`` never does; squared distances that overflow are rejected
+before the sweep.
 
 At lambda = 0 the sweep is the argmin of each row of ``_sq_dists``
 (lowest index on ties), and ``_LloydBounds`` evaluates only the rows whose
@@ -113,89 +117,6 @@ class ClusterModel:
         return np.bincount(self.assignment, minlength=self.n_clusters)
 
 
-@dataclass
-class ClusterStats:
-    """Running per-cluster tallies the solver keeps incrementally updated.
-
-    ``group_counts[j, g]`` and ``correct_counts[j, g]`` count members and
-    correct predictions of group g in cluster j; ``sums`` holds per-cluster
-    feature sums so centroids can be recomputed as ``sums / sizes``.
-    ``centroids`` stay fixed during an assignment sweep and are refreshed
-    by the centroid update.
-    """
-
-    sizes: np.ndarray
-    group_counts: np.ndarray
-    correct_counts: np.ndarray
-    sums: np.ndarray
-    centroids: np.ndarray
-
-    @classmethod
-    def from_assignment(
-        cls,
-        dataset: Dataset,
-        assignment: np.ndarray,
-        centroids: np.ndarray,
-    ) -> "ClusterStats":
-        k = len(centroids)
-        assignment = np.asarray(assignment, dtype=np.int64)
-        g = dataset.group_codes
-        w = dataset.correct_flags
-        sizes = np.bincount(assignment, minlength=k)
-        group_counts = np.zeros((k, 2), dtype=np.int64)
-        correct_counts = np.zeros((k, 2), dtype=np.int64)
-        for grp in (0, 1):
-            mask = g == grp
-            group_counts[:, grp] = np.bincount(assignment[mask], minlength=k)
-            correct_counts[:, grp] = np.bincount(
-                assignment[mask & (w == 1)], minlength=k
-            )
-        X = dataset.feature_matrix
-        sums = np.zeros((k, X.shape[1]), dtype=np.float64)
-        np.add.at(sums, assignment, X)
-        return cls(
-            sizes=sizes,
-            group_counts=group_counts,
-            correct_counts=correct_counts,
-            sums=sums,
-            centroids=np.array(centroids, dtype=np.float64),
-        )
-
-    def gap_terms(self) -> np.ndarray:
-        """Squared accuracy gap per cluster, 0 where a group is absent."""
-        n1 = self.group_counts[:, 0].astype(np.float64)
-        n2 = self.group_counts[:, 1].astype(np.float64)
-        ok = (n1 > 0) & (n2 > 0)
-        terms = np.zeros(len(self.sizes), dtype=np.float64)
-        terms[ok] = (
-            self.correct_counts[ok, 0] / n1[ok]
-            - self.correct_counts[ok, 1] / n2[ok]
-        ) ** 2
-        return terms
-
-    def bias_loss(self) -> float:
-        return -float(np.sum(self.gap_terms()))
-
-
-def objective(
-    dataset: Dataset,
-    stats: ClusterStats,
-    assignment: np.ndarray,
-    lam: float,
-    clustering_scale: float = 1.0,
-) -> tuple[float, float, float]:
-    """Evaluate (clustering_loss, bias_loss, total) for one state.
-
-    ``clustering_loss`` is returned raw; ``total`` applies
-    ``clustering_scale`` (1/n when the config normalizes the clustering
-    loss, 1 otherwise) before adding ``lam * bias_loss``.
-    """
-    diffs = dataset.feature_matrix - stats.centroids[assignment]
-    l_c = float(np.einsum("ij,ij->", diffs, diffs))
-    l_b = stats.bias_loss()
-    return l_c, l_b, clustering_scale * l_c + lam * l_b
-
-
 def kmeanspp_init(dataset: Dataset, k: int, seed: int) -> np.ndarray:
     """k-means++ seeding: first centroid uniform over instances, each next
     one sampled proportionally to squared distance from the nearest chosen
@@ -230,76 +151,6 @@ def _term(n1: int, n2: int, c1: int, c2: int) -> float:
     if n1 == 0 or n2 == 0:
         return 0.0
     return (c1 / n1 - c2 / n2) ** 2
-
-
-def _sweep_sequential(
-    X: np.ndarray,
-    dist_rows: list[list[float]],
-    assign: list[int],
-    n1: list[int],
-    n2: list[int],
-    c1: list[int],
-    c2: list[int],
-    term: list[float],
-    sums: np.ndarray,
-    g: Sequence[int],
-    w: Sequence[int],
-    lam: float,
-    dist_scale: float,
-    order: Sequence[int],
-) -> int:
-    """One greedy assignment sweep with centroids fixed; returns the number
-    of moves applied.  Mutates assign/counts/term/sums in place."""
-    k = len(n1)
-    moves = 0
-    for i in order:
-        p = assign[i]
-        row = dist_rows[i]
-        dp = row[p]
-        a = g[i]
-        wi = w[i]
-        if a == 0:
-            pn1, pn2, pc1, pc2 = n1[p] - 1, n2[p], c1[p] - wi, c2[p]
-        else:
-            pn1, pn2, pc1, pc2 = n1[p], n2[p] - 1, c1[p], c2[p] - wi
-        term_p_after = _term(pn1, pn2, pc1, pc2)
-        base = lam * (term[p] - term_p_after)
-        best_q = -1
-        best_delta = math.inf
-        for q in range(k):
-            if q == p:
-                delta = 0.0
-            else:
-                if a == 0:
-                    qn1, qn2, qc1, qc2 = n1[q] + 1, n2[q], c1[q] + wi, c2[q]
-                else:
-                    qn1, qn2, qc1, qc2 = n1[q], n2[q] + 1, c1[q], c2[q] + wi
-                if qn1 == 0 or qn2 == 0:
-                    term_q_after = 0.0
-                else:
-                    term_q_after = (qc1 / qn1 - qc2 / qn2) ** 2
-                delta = dist_scale * (row[q] - dp) + base + lam * (term[q] - term_q_after)
-            if delta < best_delta:
-                best_delta = delta
-                best_q = q
-        if best_q != p:
-            moves += 1
-            if a == 0:
-                n1[p] -= 1
-                c1[p] -= wi
-                n1[best_q] += 1
-                c1[best_q] += wi
-            else:
-                n2[p] -= 1
-                c2[p] -= wi
-                n2[best_q] += 1
-                c2[best_q] += wi
-            term[p] = _term(n1[p], n2[p], c1[p], c2[p])
-            term[best_q] = _term(n1[best_q], n2[best_q], c1[best_q], c2[best_q])
-            sums[p] -= X[i]
-            sums[best_q] += X[i]
-            assign[i] = best_q
-    return moves
 
 
 def _apply_move(
@@ -415,7 +266,10 @@ class _LloydBounds:
             # a distance may overflow: evaluate every row, as the full
             # argmin does, so that _check_finite raises exactly when it would
             rows = np.arange(len(assign))
-        dist = _sq_dists(self.cols[:, rows], centroids, out=self.dist[: len(rows)])
+        # np.take gathers a C-contiguous copy, which _sq_dists reads faster
+        # than the strided one of self.cols[:, rows]
+        cols = self.cols if len(rows) == len(assign) else np.take(self.cols, rows, axis=1)
+        dist = _sq_dists(cols, centroids, out=self.dist[: len(rows)])
         _check_finite(dist)
         best = dist.argmin(axis=1)
         moves = int(np.count_nonzero(best != assign[rows]))
@@ -444,8 +298,7 @@ class _LloydBounds:
 
 
 def _set_bias_column(
-    leave: np.ndarray,
-    join: np.ndarray,
+    table: np.ndarray,
     j: int,
     n1: Sequence[int],
     n2: Sequence[int],
@@ -454,59 +307,23 @@ def _set_bias_column(
     term: Sequence[float],
     lam: float,
 ) -> None:
-    """Fill column j of the bias tables from cluster j's counts.
+    """Fill column j of the (8, k) bias table from cluster j's counts.
 
-    Row ``2 * group + correct`` holds the bias part of the move delta for
-    an instance of that kind: ``leave`` when it leaves cluster j, ``join``
-    when it joins it (the same expressions as ``_sweep_sequential``)."""
+    For an instance of kind ``2 * group + correct``, row ``kind`` holds the
+    bias part of the move delta when it leaves cluster j and row
+    ``4 + kind`` when it joins it, computed with the same expressions as the
+    one-instance-at-a-time loop."""
     a1, a2, b1, b2, t = n1[j], n2[j], c1[j], c2[j], term[j]
-    leave[:, j] = (
+    table[:, j] = (
         lam * (t - _term(a1 - 1, a2, b1, b2)),
         lam * (t - _term(a1 - 1, a2, b1 - 1, b2)),
         lam * (t - _term(a1, a2 - 1, b1, b2)),
         lam * (t - _term(a1, a2 - 1, b1, b2 - 1)),
-    )
-    join[:, j] = (
         lam * (t - _term(a1 + 1, a2, b1, b2)),
         lam * (t - _term(a1 + 1, a2, b1 + 1, b2)),
         lam * (t - _term(a1, a2 + 1, b1, b2)),
         lam * (t - _term(a1, a2 + 1, b1, b2 + 1)),
     )
-
-
-def _bias_tables(
-    n1: Sequence[int],
-    n2: Sequence[int],
-    c1: Sequence[int],
-    c2: Sequence[int],
-    term: Sequence[float],
-    lam: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    k = len(term)
-    leave = np.empty((4, k), dtype=np.float64)
-    join = np.empty((4, k), dtype=np.float64)
-    for j in range(k):
-        _set_bias_column(leave, join, j, n1, n2, c1, c2, term, lam)
-    return leave, join
-
-
-def _move_deltas(
-    dist_rows: np.ndarray,
-    own: np.ndarray,
-    kinds: np.ndarray,
-    leave: np.ndarray,
-    join: np.ndarray,
-    dist_scale: float,
-) -> np.ndarray:
-    """Objective delta of moving each row's instance from cluster ``own[r]``
-    to every other cluster, in the loop's order of operations; the own
-    column holds the loop's 0.0 for staying."""
-    rows = np.arange(len(own))
-    delta = dist_scale * (dist_rows - dist_rows[rows, own][:, None])
-    delta += leave[kinds, own][:, None]
-    delta += join[kinds]
-    delta[rows, own] = 0.0
-    return delta
 
 
 # Visits evaluated by the first block of a sweep.  Only speed depends on
@@ -530,40 +347,70 @@ def _sweep_blocked(
     dist_scale: float,
     order: np.ndarray,
 ) -> int:
-    """The assignment sweep of ``_sweep_sequential`` (same in-place updates,
-    bit-identical result; ``dist``, ``assign``, ``g``, ``w`` and ``order``
-    are arrays), evaluated in blocks of visits: every row of a block before
-    its first mover stays put, the mover is applied, and the next block
-    starts right after it.  The block length doubles while no move is found
-    and restarts at twice the distance to the last move."""
+    """One greedy assignment sweep with centroids fixed, visiting the
+    instances in ``order``; returns the number of moves applied and updates
+    ``assign``, the counts, ``term`` and ``sums`` in place.
+
+    ``dist`` holds the (n, k) squared distances and is only read.  The
+    distance part of every visit's delta is computed once, up front, into
+    a new (len(order), k) array.  Visits are then evaluated in blocks:
+    every row of a block before its first mover stays put, the mover is
+    applied, and the next block starts right after it.  The block length
+    doubles while no move is found and restarts at twice the distance to
+    the last move."""
     _check_finite(dist)
-    kinds = 2 * g.astype(np.intp) + w
-    leave, join = _bias_tables(n1, n2, c1, c2, term, lam)
     n_visits = len(order)
+    k = dist.shape[1]
+    visits = np.arange(n_visits)
+    own = assign[order]
+    kinds = (2 * g.astype(np.intp) + w)[order]
+    repeats = np.bincount(order, minlength=1).max() > 1
+    part = dist.take(order, axis=0)
+    np.subtract(part, part[visits, own][:, None], out=part)
+    part *= dist_scale
+    # flat indices of each visit's leave entry in the table and of its
+    # stay column in ``delta``, and its row of join entries
+    leave_at = kinds * k + own
+    stay_at = visits * k + own
+    join_at = kinds + 4
+    table = np.empty((8, k), dtype=np.float64)
+    for j in range(k):
+        _set_bias_column(table, j, n1, n2, c1, c2, term, lam)
+    delta = np.empty_like(part)
     moves = 0
     start = 0
     length = _FIRST_BLOCK
     while start < n_visits:
-        idx = order[start : start + length]
-        own_blk = assign[idx]
-        delta = _move_deltas(dist[idx], own_blk, kinds[idx], leave, join, dist_scale)
-        best = delta.argmin(axis=1)
-        moved = best != own_blk
+        end = min(start + length, n_visits)
+        block = delta[start:end]
+        np.add(part[start:end], table.take(leave_at[start:end])[:, None], out=block)
+        block += table.take(join_at[start:end], axis=0)
+        delta.put(stay_at[start:end], 0.0)
+        best = block.argmin(axis=1)
+        moved = best != own[start:end]
         r = int(moved.argmax())
         if not moved[r]:
-            start += len(idx)
+            start = end
             length *= 2
             continue
-        i = int(idx[r])
-        p = int(own_blk[r])
+        v = start + r
+        i = int(order[v])
+        p = int(own[v])
         q = int(best[r])
         _apply_move(
             X, i, p, q, int(g[i]), int(w[i]), assign, n1, n2, c1, c2, term, sums
         )
-        _set_bias_column(leave, join, p, n1, n2, c1, c2, term, lam)
-        _set_bias_column(leave, join, q, n1, n2, c1, c2, term, lam)
+        _set_bias_column(table, p, n1, n2, c1, c2, term, lam)
+        _set_bias_column(table, q, n1, n2, c1, c2, term, lam)
+        if repeats:
+            # later visits of instance i leave q, not p
+            later = v + 1 + np.flatnonzero(order[v + 1 :] == i)
+            own[later] = q
+            part[later] = dist_scale * (dist[i] - dist[i, q])
+            leave_at[later] = kinds[later] * k + q
+            stay_at[later] = later * k + q
         moves += 1
-        start += r + 1
+        start = v + 1
         length = 2 * (r + 1)
     return moves
 
@@ -716,24 +563,3 @@ def kmeans_fit(
     """Plain k-means baseline: the same solver with the bias weight off."""
     return logan_fit(dataset, replace(cfg, lam=0.0), initial_centroids)
 
-
-def best_single_move_delta(
-    dataset: Dataset,
-    model: ClusterModel,
-    cfg: LoganConfig,
-) -> float:
-    """Most negative objective delta over all single-instance moves, with
-    the model's centroids held fixed.  A converged fit yields >= 0 (no
-    improving move survives at termination)."""
-    stats = ClusterStats.from_assignment(dataset, model.assignment, model.centroids)
-    dist = _sq_dists(np.ascontiguousarray(dataset.feature_matrix.T), model.centroids)
-    _check_finite(dist)
-    dist_scale = 1.0 / dataset.n if cfg.normalize_clustering_loss else 1.0
-    own = np.asarray(model.assignment, dtype=np.intp)
-    kinds = 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
-    leave, join = _bias_tables(
-        *stats.group_counts.T.tolist(), *stats.correct_counts.T.tolist(),
-        stats.gap_terms().tolist(), cfg.lam,
-    )
-    delta = _move_deltas(dist, own, kinds, leave, join, dist_scale)
-    return min(0.0, float(delta.min()))

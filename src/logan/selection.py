@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .clustering import ClusterModel, logan_fit
 from .data import Dataset, LoganConfig
 from .postprocess import ClusterReport, cluster_reports, merge_small_clusters
@@ -44,11 +46,14 @@ def grid_search(
     dataset: Dataset,
     cfg: LoganConfig,
     lambdas: Sequence[float],
+    initial_centroids: np.ndarray | None = None,
 ) -> GridResult:
     """Fit, merge and report once per candidate weight; pick the best.
 
-    ``max_gap`` per cell is the largest accuracy gap over detectable
-    clusters (0 when none is detectable).
+    Every fit starts from ``initial_centroids``, or from the k-means++
+    seeds of ``cfg.seed`` when they are not given.  ``max_gap`` per cell is
+    the largest accuracy gap over detectable clusters (0 when none is
+    detectable).
     """
     if len(lambdas) == 0:
         raise ValueError("lambda grid must be nonempty")
@@ -58,7 +63,7 @@ def grid_search(
     for lam in lambdas:
         cell_cfg = replace(cfg, lam=float(lam))
         model = merge_small_clusters(
-            logan_fit(dataset, cell_cfg), dataset, cell_cfg
+            logan_fit(dataset, cell_cfg, initial_centroids), dataset, cell_cfg
         )
         reports = cluster_reports(model, dataset, cell_cfg)
         biased_count = sum(1 for r in reports if r.biased)

@@ -1,12 +1,23 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the one-instance-at-a-time
+references the fast solver paths are checked against."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from logan.clustering import ClusterStats, _sq_dists, _term
-from logan.data import Dataset, build_dataset
+from logan.clustering import (
+    ClusterModel,
+    _check_finite,
+    _set_bias_column,
+    _sq_dists,
+    _term,
+)
+from logan.data import Dataset, LoganConfig, build_dataset
 
 
 def rows_from_arrays(features, groups, labels, preds, scores=None, texts=None):
@@ -71,6 +82,185 @@ def random_dataset(
         u = rng.random(n)
         scores = np.where(preds == 1, 0.5 + 0.5 * u, 0.5 * u)
     return make_dataset(features, groups.tolist(), labels, preds, scores)
+
+
+@dataclass
+class ClusterStats:
+    """Per-cluster tallies counted from scratch, the reference for the
+    tallies the solver keeps up to date move by move.
+
+    ``group_counts[j, g]`` and ``correct_counts[j, g]`` count members and
+    correct predictions of group g in cluster j; ``sums`` holds per-cluster
+    feature sums so centroids can be recomputed as ``sums / sizes``.
+    ``centroids`` stay fixed during an assignment sweep and are refreshed
+    by the centroid update.
+    """
+
+    sizes: np.ndarray
+    group_counts: np.ndarray
+    correct_counts: np.ndarray
+    sums: np.ndarray
+    centroids: np.ndarray
+
+    @classmethod
+    def from_assignment(
+        cls,
+        dataset: Dataset,
+        assignment: np.ndarray,
+        centroids: np.ndarray,
+    ) -> "ClusterStats":
+        k = len(centroids)
+        assignment = np.asarray(assignment, dtype=np.int64)
+        g = dataset.group_codes
+        w = dataset.correct_flags
+        sizes = np.bincount(assignment, minlength=k)
+        group_counts = np.zeros((k, 2), dtype=np.int64)
+        correct_counts = np.zeros((k, 2), dtype=np.int64)
+        for grp in (0, 1):
+            mask = g == grp
+            group_counts[:, grp] = np.bincount(assignment[mask], minlength=k)
+            correct_counts[:, grp] = np.bincount(
+                assignment[mask & (w == 1)], minlength=k
+            )
+        X = dataset.feature_matrix
+        sums = np.zeros((k, X.shape[1]), dtype=np.float64)
+        np.add.at(sums, assignment, X)
+        return cls(
+            sizes=sizes,
+            group_counts=group_counts,
+            correct_counts=correct_counts,
+            sums=sums,
+            centroids=np.array(centroids, dtype=np.float64),
+        )
+
+    def gap_terms(self) -> np.ndarray:
+        """Squared accuracy gap per cluster, 0 where a group is absent."""
+        n1 = self.group_counts[:, 0].astype(np.float64)
+        n2 = self.group_counts[:, 1].astype(np.float64)
+        ok = (n1 > 0) & (n2 > 0)
+        terms = np.zeros(len(self.sizes), dtype=np.float64)
+        terms[ok] = (
+            self.correct_counts[ok, 0] / n1[ok]
+            - self.correct_counts[ok, 1] / n2[ok]
+        ) ** 2
+        return terms
+
+    def bias_loss(self) -> float:
+        return -float(np.sum(self.gap_terms()))
+
+
+def objective(
+    dataset: Dataset,
+    stats: ClusterStats,
+    assignment: np.ndarray,
+    lam: float,
+    clustering_scale: float = 1.0,
+) -> tuple[float, float, float]:
+    """Evaluate (clustering_loss, bias_loss, total) for one state.
+
+    ``clustering_loss`` is returned raw; ``total`` applies
+    ``clustering_scale`` (1/n when the config normalizes the clustering
+    loss, 1 otherwise) before adding ``lam * bias_loss``.
+    """
+    diffs = dataset.feature_matrix - stats.centroids[assignment]
+    l_c = float(np.einsum("ij,ij->", diffs, diffs))
+    l_b = stats.bias_loss()
+    return l_c, l_b, clustering_scale * l_c + lam * l_b
+
+
+def _sweep_sequential(
+    X: np.ndarray,
+    dist_rows: list[list[float]],
+    assign: list[int],
+    n1: list[int],
+    n2: list[int],
+    c1: list[int],
+    c2: list[int],
+    term: list[float],
+    sums: np.ndarray,
+    g: Sequence[int],
+    w: Sequence[int],
+    lam: float,
+    dist_scale: float,
+    order: Sequence[int],
+) -> int:
+    """One greedy assignment sweep with centroids fixed, one instance at a
+    time (the reference for ``clustering._sweep_blocked``); returns the
+    number of moves applied.  Mutates assign/counts/term/sums in place."""
+    k = len(n1)
+    moves = 0
+    for i in order:
+        p = assign[i]
+        row = dist_rows[i]
+        dp = row[p]
+        a = g[i]
+        wi = w[i]
+        if a == 0:
+            pn1, pn2, pc1, pc2 = n1[p] - 1, n2[p], c1[p] - wi, c2[p]
+        else:
+            pn1, pn2, pc1, pc2 = n1[p], n2[p] - 1, c1[p], c2[p] - wi
+        term_p_after = _term(pn1, pn2, pc1, pc2)
+        base = lam * (term[p] - term_p_after)
+        best_q = -1
+        best_delta = math.inf
+        for q in range(k):
+            if q == p:
+                delta = 0.0
+            else:
+                if a == 0:
+                    qn1, qn2, qc1, qc2 = n1[q] + 1, n2[q], c1[q] + wi, c2[q]
+                else:
+                    qn1, qn2, qc1, qc2 = n1[q], n2[q] + 1, c1[q], c2[q] + wi
+                if qn1 == 0 or qn2 == 0:
+                    term_q_after = 0.0
+                else:
+                    term_q_after = (qc1 / qn1 - qc2 / qn2) ** 2
+                delta = dist_scale * (row[q] - dp) + base + lam * (term[q] - term_q_after)
+            if delta < best_delta:
+                best_delta = delta
+                best_q = q
+        if best_q != p:
+            moves += 1
+            if a == 0:
+                n1[p] -= 1
+                c1[p] -= wi
+                n1[best_q] += 1
+                c1[best_q] += wi
+            else:
+                n2[p] -= 1
+                c2[p] -= wi
+                n2[best_q] += 1
+                c2[best_q] += wi
+            term[p] = _term(n1[p], n2[p], c1[p], c2[p])
+            term[best_q] = _term(n1[best_q], n2[best_q], c1[best_q], c2[best_q])
+            sums[p] -= X[i]
+            sums[best_q] += X[i]
+            assign[i] = best_q
+    return moves
+
+
+def best_single_move_delta(dataset: Dataset, model: ClusterModel, cfg: LoganConfig) -> float:
+    """Most negative objective delta over all single-instance moves, with
+    the model's centroids held fixed, computed for every move at once from
+    the sweep's bias table.  A converged fit yields >= 0 (no improving move
+    survives at termination)."""
+    stats = ClusterStats.from_assignment(dataset, model.assignment, model.centroids)
+    dist = _sq_dists(np.ascontiguousarray(dataset.feature_matrix.T), model.centroids)
+    _check_finite(dist)
+    dist_scale = 1.0 / dataset.n if cfg.normalize_clustering_loss else 1.0
+    own = np.asarray(model.assignment, dtype=np.intp)
+    kinds = 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
+    counts = (*stats.group_counts.T.tolist(), *stats.correct_counts.T.tolist())
+    term = stats.gap_terms().tolist()
+    table = np.empty((8, model.n_clusters), dtype=np.float64)
+    for j in range(model.n_clusters):
+        _set_bias_column(table, j, *counts, term, cfg.lam)
+    rows = np.arange(len(own))
+    delta = dist_scale * (dist - dist[rows, own][:, None])
+    delta += table[kinds, own][:, None]
+    delta += table[4 + kinds]
+    delta[rows, own] = 0.0
+    return min(0.0, float(delta.min()))
 
 
 def reference_best_single_move_delta(dataset: Dataset, model, cfg) -> float:
@@ -183,3 +373,78 @@ def reference_lloyd(dataset: Dataset, seeds: np.ndarray, cfg):
         if not moved:
             return assign, centroids, tuple(trace), iteration, True
     return assign, centroids, tuple(trace), cfg.max_iter, False
+
+
+def reference_logan_fit(
+    dataset: Dataset,
+    seeds: np.ndarray,
+    cfg: LoganConfig,
+    order: Sequence[int] | None = None,
+):
+    """``logan_fit`` for lam > 0 as the one-instance-at-a-time loop: every
+    iteration computes the distances afresh and runs ``_sweep_sequential``
+    over ``order`` (ascending by default), then the centroid update.
+
+    Nearest-seed assignment and a centroid update come first.  Tallies are
+    counted once and then kept up to date move by move, as the fit keeps
+    them.  A cluster left empty takes the instance farthest from its stale
+    centroid among those whose cluster keeps another member (lowest index
+    on ties).  Returns (assignment, centroids, objective trace, iterations
+    run, converged).
+    """
+    X = dataset.feature_matrix
+    cols = np.ascontiguousarray(X.T)
+    n = len(X)
+    lam = cfg.lam
+    scale = 1.0 / n if cfg.normalize_clustering_loss else 1.0
+    g = dataset.group_codes.tolist()
+    w = dataset.correct_flags.tolist()
+    order = range(n) if order is None else [int(i) for i in order]
+    centroids = np.array(seeds, dtype=np.float64)
+    assign = _sq_dists(cols, centroids).argmin(axis=1).tolist()
+    stats = ClusterStats.from_assignment(dataset, assign, centroids)
+    n1, n2 = stats.group_counts.T.tolist()
+    c1, c2 = stats.correct_counts.T.tolist()
+    term = [_term(*cluster) for cluster in zip(n1, n2, c1, c2)]
+    sums = stats.sums
+
+    def update():
+        while True:
+            sizes = np.add(n1, n2)
+            if sizes.all():
+                break
+            e = int(sizes.argmin())
+            far = np.sum((X - centroids[e]) ** 2, axis=1)
+            i = int(np.where(sizes[assign] >= 2, far, -1.0).argmax())
+            p = assign[i]
+            if g[i] == 0:
+                n1[p], c1[p], n1[e], c1[e] = n1[p] - 1, c1[p] - w[i], n1[e] + 1, c1[e] + w[i]
+            else:
+                n2[p], c2[p], n2[e], c2[e] = n2[p] - 1, c2[p] - w[i], n2[e] + 1, c2[e] + w[i]
+            term[p] = _term(n1[p], n2[p], c1[p], c2[p])
+            term[e] = _term(n1[e], n2[e], c1[e], c2[e])
+            sums[p] -= X[i]
+            sums[e] += X[i]
+            assign[i] = e
+        centroids[:] = sums / sizes[:, None]
+
+    def record():
+        diffs = X - centroids[assign]
+        l_c = float(np.einsum("ij,ij->", diffs, diffs))
+        l_b = -float(sum(term))
+        return (l_c, l_b, scale * l_c + lam * l_b)
+
+    update()
+    trace = [record()]
+    for iteration in range(1, cfg.max_iter + 1):
+        dist = _sq_dists(cols, centroids)
+        if not np.isfinite(dist).all():
+            raise ValueError("squared distances overflow")
+        moves = _sweep_sequential(
+            X, dist.tolist(), assign, n1, n2, c1, c2, term, sums, g, w, lam, scale, order
+        )
+        update()
+        trace.append(record())
+        if moves == 0:
+            return np.array(assign), centroids, tuple(trace), iteration, True
+    return np.array(assign), centroids, tuple(trace), cfg.max_iter, False

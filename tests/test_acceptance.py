@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from logan.cli import main
-from logan.clustering import (
-    ClusterModel,
-    best_single_move_delta,
-    kmeans_fit,
-    logan_fit,
-)
+from logan.clustering import ClusterModel, kmeans_fit, logan_fit
 from logan.data import LoganConfig
 from logan.io import AuditReport, LoadError, load_jsonl, write_jsonl
 from logan.metrics import MetricKind, global_bias, performance, random_split_baseline
@@ -26,7 +21,7 @@ from logan.synthetic import (
     generate,
 )
 
-from helpers import make_dataset, random_dataset
+from helpers import best_single_move_delta, make_dataset, random_dataset
 
 
 def _pass(num: int, message: str) -> None:

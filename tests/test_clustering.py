@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,27 +9,28 @@ from scipy.spatial.distance import cdist
 
 from logan.clustering import (
     ClusterModel,
-    ClusterStats,
     _LloydBounds,
     _fit_core,
     _sq_dists,
     _sweep_blocked,
-    _sweep_sequential,
     _term,
-    best_single_move_delta,
     kmeans_fit,
     kmeanspp_init,
     logan_fit,
-    objective,
 )
 from logan.data import LoganConfig, build_dataset
 from logan.synthetic import brute_force_objective
 
 from helpers import (
+    ClusterStats,
+    _sweep_sequential,
+    best_single_move_delta,
     make_dataset,
+    objective,
     random_dataset,
     reference_best_single_move_delta,
     reference_lloyd,
+    reference_logan_fit,
     rows_from_arrays,
 )
 
@@ -418,6 +420,27 @@ def test_blocked_sweep_matches_sequential_loop_exactly(state):
     assert got[6].tobytes() == ref[6].tobytes()
 
 
+def test_blocked_sweep_sums_each_delta_in_the_loops_order():
+    """A near tie the fuzz test is unlikely to draw: moving instance 0 from
+    cluster 0 to 1 changes the objective by -5.6e-17 when the delta is
+    summed as (distance part + leave) + join, the loop's order, and by
+    exactly 0.0, so the instance stays, in every other order."""
+    X = np.zeros((6, 1))
+    dist = np.array([[1.0, 0.1388888888888889], [0.0, 100.0], *[[100.0, 0.0]] * 4])
+    assign = np.array([0, 0, 1, 1, 1, 1])
+    g = np.array([0, 1, 0, 0, 0, 1], dtype=np.int8)
+    w = np.array([1, 0, 1, 0, 0, 0], dtype=np.int8)
+    ref = _sweep_args(X, dist, assign, g, w)
+    got = _sweep_args(X, dist, assign, g, w)
+    got = (np.array(got[0], dtype=np.intp), *got[1:])
+    order = np.arange(6)
+    assert _sweep_sequential(
+        X, dist.tolist(), *ref, g.tolist(), w.tolist(), 1.0, 1.0, order.tolist()
+    ) == 1
+    assert _sweep_blocked(X, dist, *got, g, w, 1.0, 1.0, order) == 1
+    assert got[0].tolist() == ref[0] == [1, 0, 1, 1, 1, 1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     sweep_states(),
@@ -459,7 +482,7 @@ def test_overflowing_distances_rejected():
 
 @st.composite
 def lloyd_states(draw):
-    """A dataset, seeds and config for a lambda = 0 fit.  Integer-grid
+    """A dataset, seeds and config for a fit.  Integer-grid
     features give exact distance ties and duplicate points; seeds drawn
     from the rows with replacement repeat and force re-seeds; the data may
     sit far from the origin; scales reach where squares underflow."""
@@ -497,6 +520,29 @@ def test_kmeans_fit_matches_full_argmin_lloyd_exactly(state):
     d, seeds, cfg = state
     model = kmeans_fit(d, cfg, initial_centroids=seeds)
     assign, centroids, trace, iterations, converged = reference_lloyd(d, seeds, cfg)
+    assert model.assignment.tolist() == assign.tolist()
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
+    assert model.iterations_run == iterations
+    assert model.converged == converged
+
+
+# ------------------------------------ lambda > 0 fit vs the one-instance loop
+
+@settings(max_examples=150, deadline=None)
+@given(lloyd_states(), st.sampled_from(LAMBDAS), st.booleans(), st.integers(0, 2**32 - 1))
+def test_logan_fit_matches_sequential_reference_exactly(state, lam, permuted, seed):
+    """The whole fit, so a distance buffer that one sweep leaves stale for
+    the next would show; a permuted visit order goes through ``_fit_core``."""
+    d, seeds, cfg = state
+    cfg = replace(cfg, lam=lam)
+    if permuted:
+        order = np.random.default_rng(seed).permutation(d.n)
+        model = _fit_core(d, seeds, cfg, sweep_order=order)
+    else:
+        order = None
+        model = logan_fit(d, cfg, initial_centroids=seeds)
+    assign, centroids, trace, iterations, converged = reference_logan_fit(d, seeds, cfg, order)
     assert model.assignment.tolist() == assign.tolist()
     assert model.centroids.tobytes() == centroids.tobytes()
     assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
