@@ -197,16 +197,16 @@ def _sq_dists(
     Written into ``out`` when it is given."""
     if out is None:
         out = np.empty((cols.shape[1], len(centroids)), dtype=np.float64)
-    acc = np.empty(cols.shape[1], dtype=np.float64)
+    # (k, n) buffers: each coordinate costs three ufunc calls for all
+    # centroids at once, instead of three per centroid
+    acc = np.zeros((len(centroids), cols.shape[1]), dtype=np.float64)
     diff = np.empty_like(acc)
     with np.errstate(over="ignore"):  # inf, as in a loop; sweeps reject it
-        for q, centroid in enumerate(centroids):
-            acc.fill(0.0)
-            for col, c in zip(cols, centroid):
-                np.subtract(col, c, out=diff)
-                diff *= diff
-                acc += diff
-            out[:, q] = acc
+        for col, c in zip(cols, centroids.T):
+            np.subtract(col, c[:, None], out=diff)
+            diff *= diff
+            acc += diff
+    out[...] = acc.T
     return out
 
 

@@ -101,6 +101,8 @@ class LoganConfig:
             raise ValidationError(f"lam must be finite and >= 0, got {self.lam}")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.bias_threshold) or self.bias_threshold < 0:
             raise ValidationError(
                 f"bias_threshold must be finite and >= 0, got {self.bias_threshold}"

@@ -142,6 +142,8 @@ def random_split_baseline(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n1, _ = dataset.group_sizes()
     gaps = []

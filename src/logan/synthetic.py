@@ -67,6 +67,8 @@ class PlantedBiasSpec:
             )
         if self.component_separation <= 0:
             raise ValueError("component_separation must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 _GLOBAL_GAP_LIMIT = 0.02

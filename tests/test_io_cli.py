@@ -276,6 +276,20 @@ def test_detect_non_finite_flag_exits_one(planted_file, tmp_path, capsys, flag, 
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["detect", "baseline", "random-split", "synth"])
+def test_negative_seed_is_named(planted_file, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = {
+        "detect": ["detect", "--input", str(planted_file), "--output", str(out)],
+        "baseline": ["baseline", "--input", str(planted_file), "--output", str(out)],
+        "random-split": ["random-split", "--input", str(planted_file)],
+        "synth": ["synth", "--preset", "planted-bias", "--output", str(out)],
+    }[command]
+    assert main([*args, "--seed", "-1"]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_usage_error_exits_one_and_help_zero(planted_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(detect_args(planted_file, tmp_path / "report.json") + ["--bogus"])
@@ -559,6 +573,23 @@ def test_overflowing_features_exit_one_without_warnings(tmp_path, standardize):
 def test_import_leaves_scipy_unloaded():
     src = str(Path(logan.__file__).resolve().parents[1])
     probe = "import logan, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_process_pools_unloaded():
+    """The grid's worker pool is imported when a grid runs, not before."""
+    src = str(Path(logan.__file__).resolve().parents[1])
+    probe = (
+        "import logan, sys; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
