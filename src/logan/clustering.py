@@ -11,6 +11,12 @@ gap between the two groups inside each cluster.  Clusters missing one of
 the groups contribute 0 to the bias loss (their gap is undefined and so
 carries no evidence).  With ``lam == 0`` this is plain Lloyd k-means.
 
+An instance's *kind* is ``2 * group + correct``, from 0 to 3.  The bias
+loss sees a cluster only through its counts of members by kind, so the fit
+keeps them as one four-entry list ``c`` per cluster: the groups hold
+``c[0] + c[1]`` and ``c[2] + c[3]`` members, of which ``c[1]`` and ``c[3]``
+are predicted correctly.  A move changes two counts, one in each cluster.
+
 The solver alternates two steps until no assignment changes in a full
 sweep (or ``max_iter`` is hit):
 
@@ -30,14 +36,13 @@ sweep (or ``max_iter`` is hit):
 The sweep is evaluated in numpy blocks of consecutive visits, and is exact
 (bit-identical to the one-instance-at-a-time loop that
 ``tests/helpers.py`` keeps as the reference) for four reasons.  Centroids
-are fixed during a sweep, and an unvisited instance keeps its cluster p
-until it is visited, so its distance part ``dist_scale * (D[i, q] -
-D[i, p])`` is fixed for the whole sweep: it is computed once per sweep
-for every visit.  An instance that an order visits again after it moved gets
-the distance part of its new cluster.  The bias part depends on the
+are fixed during a sweep, and the visit order is a permutation, so an
+instance is visited once and keeps its cluster p until then: its distance
+part ``dist_scale * (D[i, q] - D[i, p])`` is fixed for the whole sweep and
+is computed once per sweep for every visit.  The bias part depends on the
 running counts only through one (8, k) table indexed by the instance's
-kind (group, correct): rows 0-3 hold the reward lost by leaving a cluster
-and rows 4-7 the reward gained by joining it, both built with the same
+kind: rows 0-3 hold the reward lost by leaving a cluster and rows 4-7 the
+reward gained by joining it, both built from the kind counts with the same
 scalar arithmetic as the loop.  A delta adds its leave entry and then its
 join entry to its distance part, the loop's order.  A move changes only
 the two table columns of the clusters it touches.  So every row of a block
@@ -153,35 +158,30 @@ def _term(n1: int, n2: int, c1: int, c2: int) -> float:
     return (c1 / n1 - c2 / n2) ** 2
 
 
+def _gap_term(c: Sequence[int]) -> float:
+    """Gap term of a cluster with kind counts ``c``."""
+    return _term(c[0] + c[1], c[2] + c[3], c[1], c[3])
+
+
 def _apply_move(
     X: np.ndarray,
     i: int,
     p: int,
     q: int,
-    group: int,
-    wi: int,
+    kind: int,
     assign: np.ndarray,
-    n1: list[int],
-    n2: list[int],
-    c1: list[int],
-    c2: list[int],
+    counts: list[list[int]],
     term: list[float],
     sums: np.ndarray,
 ) -> None:
-    """Move instance i (of ``group``, correct flag ``wi``) from cluster p
-    to q, updating the assignment and the running tallies in place."""
-    if group == 0:
-        n1[p] -= 1
-        c1[p] -= wi
-        n1[q] += 1
-        c1[q] += wi
-    else:
-        n2[p] -= 1
-        c2[p] -= wi
-        n2[q] += 1
-        c2[q] += wi
-    term[p] = _term(n1[p], n2[p], c1[p], c2[p])
-    term[q] = _term(n1[q], n2[q], c1[q], c2[q])
+    """Move instance i of ``kind`` from cluster p to q, updating the
+    assignment and the running tallies in place."""
+    cp = counts[p]
+    cq = counts[q]
+    cp[kind] -= 1
+    cq[kind] += 1
+    term[p] = _gap_term(cp)
+    term[q] = _gap_term(cq)
     sums[p] -= X[i]
     sums[q] += X[i]
     assign[i] = q
@@ -300,20 +300,18 @@ class _LloydBounds:
 def _set_bias_column(
     table: np.ndarray,
     j: int,
-    n1: Sequence[int],
-    n2: Sequence[int],
-    c1: Sequence[int],
-    c2: Sequence[int],
-    term: Sequence[float],
+    c: Sequence[int],
+    t: float,
     lam: float,
 ) -> None:
-    """Fill column j of the (8, k) bias table from cluster j's counts.
+    """Fill column j of the (8, k) bias table from cluster j's kind counts
+    ``c`` and gap term ``t``.
 
     For an instance of kind ``2 * group + correct``, row ``kind`` holds the
     bias part of the move delta when it leaves cluster j and row
     ``4 + kind`` when it joins it, computed with the same expressions as the
     one-instance-at-a-time loop."""
-    a1, a2, b1, b2, t = n1[j], n2[j], c1[j], c2[j], term[j]
+    a1, a2, b1, b2 = c[0] + c[1], c[2] + c[3], c[1], c[3]
     table[:, j] = (
         lam * (t - _term(a1 - 1, a2, b1, b2)),
         lam * (t - _term(a1 - 1, a2, b1 - 1, b2)),
@@ -335,36 +333,31 @@ def _sweep_blocked(
     X: np.ndarray,
     dist: np.ndarray,
     assign: np.ndarray,
-    n1: list[int],
-    n2: list[int],
-    c1: list[int],
-    c2: list[int],
+    counts: list[list[int]],
     term: list[float],
     sums: np.ndarray,
-    g: np.ndarray,
-    w: np.ndarray,
+    kinds: np.ndarray,
     lam: float,
     dist_scale: float,
     order: np.ndarray,
 ) -> int:
     """One greedy assignment sweep with centroids fixed, visiting the
-    instances in ``order``; returns the number of moves applied and updates
-    ``assign``, the counts, ``term`` and ``sums`` in place.
+    instances in ``order``, a permutation; returns the number of moves
+    applied and updates ``assign``, ``counts``, ``term`` and ``sums`` in
+    place.  ``kinds`` holds each instance's kind.
 
     ``dist`` holds the (n, k) squared distances and is only read.  The
     distance part of every visit's delta is computed once, up front, into
-    a new (len(order), k) array.  Visits are then evaluated in blocks:
-    every row of a block before its first mover stays put, the mover is
-    applied, and the next block starts right after it.  The block length
-    doubles while no move is found and restarts at twice the distance to
-    the last move."""
+    a new (n, k) array.  Visits are then evaluated in blocks: every row of
+    a block before its first mover stays put, the mover is applied, and the
+    next block starts right after it.  The block length doubles while no
+    move is found and restarts at twice the distance to the last move."""
     _check_finite(dist)
     n_visits = len(order)
     k = dist.shape[1]
     visits = np.arange(n_visits)
     own = assign[order]
-    kinds = (2 * g.astype(np.intp) + w)[order]
-    repeats = np.bincount(order, minlength=1).max() > 1
+    kinds = kinds[order]  # per visit
     part = dist.take(order, axis=0)
     np.subtract(part, part[visits, own][:, None], out=part)
     part *= dist_scale
@@ -375,7 +368,7 @@ def _sweep_blocked(
     join_at = kinds + 4
     table = np.empty((8, k), dtype=np.float64)
     for j in range(k):
-        _set_bias_column(table, j, n1, n2, c1, c2, term, lam)
+        _set_bias_column(table, j, counts[j], term[j], lam)
     delta = np.empty_like(part)
     moves = 0
     start = 0
@@ -394,21 +387,11 @@ def _sweep_blocked(
             length *= 2
             continue
         v = start + r
-        i = int(order[v])
         p = int(own[v])
         q = int(best[r])
-        _apply_move(
-            X, i, p, q, int(g[i]), int(w[i]), assign, n1, n2, c1, c2, term, sums
-        )
-        _set_bias_column(table, p, n1, n2, c1, c2, term, lam)
-        _set_bias_column(table, q, n1, n2, c1, c2, term, lam)
-        if repeats:
-            # later visits of instance i leave q, not p
-            later = v + 1 + np.flatnonzero(order[v + 1 :] == i)
-            own[later] = q
-            part[later] = dist_scale * (dist[i] - dist[i, q])
-            leave_at[later] = kinds[later] * k + q
-            stay_at[later] = later * k + q
+        _apply_move(X, int(order[v]), p, q, int(kinds[v]), assign, counts, term, sums)
+        _set_bias_column(table, p, counts[p], term[p], lam)
+        _set_bias_column(table, q, counts[q], term[q], lam)
         moves += 1
         start = v + 1
         length = 2 * (r + 1)
@@ -422,37 +405,29 @@ def _fit_core(
     sweep_order: Sequence[int] | None = None,
 ) -> ClusterModel:
     """Alternate assignment sweeps and centroid updates from a given seed
-    state.  ``sweep_order`` overrides the ascending visit order (used by
-    permutation-equivariance tests)."""
+    state.  ``sweep_order``, a permutation of the instances, overrides the
+    ascending visit order (used by permutation-equivariance tests)."""
     X = dataset.feature_matrix
     cols = np.ascontiguousarray(X.T)
     n = len(X)
     k = len(centroids)
     lam = cfg.lam
     dist_scale = 1.0 / n if cfg.normalize_clustering_loss else 1.0
-    g = dataset.group_codes
-    w = dataset.correct_flags
-    kinds = 2 * g.astype(np.intp) + w  # 2 * group + correct
+    kinds = 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
     order = np.arange(n) if sweep_order is None else np.asarray(sweep_order, np.intp)
 
     def tallies(assign: np.ndarray):
-        """Per-cluster n1, n2, c1, c2 and gap terms (as lists) and feature
+        """Per-cluster kind counts and gap terms (as lists) and feature
         sums, recounted in full."""
-        by_kind = np.bincount(4 * assign + kinds, minlength=4 * k).reshape(k, 4)
-        counts = [
-            (by_kind[:, 0] + by_kind[:, 1]).tolist(),
-            (by_kind[:, 2] + by_kind[:, 3]).tolist(),
-            by_kind[:, 1].tolist(),
-            by_kind[:, 3].tolist(),
-        ]
+        counts = np.bincount(4 * assign + kinds, minlength=4 * k).reshape(k, 4).tolist()
         sums = np.empty((k, len(cols)), dtype=np.float64)
         for j, col in enumerate(cols):
             sums[:, j] = np.bincount(assign, weights=col, minlength=k)
-        return (*counts, [_term(*cluster) for cluster in zip(*counts)], sums)
+        return counts, [_gap_term(c) for c in counts], sums
 
     centroids = np.array(centroids, dtype=np.float64)
     assign = _sq_dists(cols, centroids).argmin(axis=1)
-    n1, n2, c1, c2, term, sums = tallies(assign)
+    counts, term, sums = tallies(assign)
     if lam == 0.0:
         bounds = _LloydBounds(cols, k)
     else:
@@ -471,7 +446,7 @@ def _fit_core(
         # Re-seed any emptied cluster with the instance farthest from its
         # stale centroid; donors must leave a nonempty cluster behind.
         while True:
-            sizes = np.add(n1, n2)
+            sizes = np.sum(counts, axis=1)
             if sizes.all():
                 break
             e = int(sizes.argmin())
@@ -481,8 +456,7 @@ def _fit_core(
             dist_to_e = np.sum((X - centroids[e]) ** 2, axis=1)
             donor = int(np.where(eligible, dist_to_e, -1.0).argmax())
             _apply_move(
-                X, donor, int(assign[donor]), e, int(g[donor]), int(w[donor]),
-                assign, n1, n2, c1, c2, term, sums,
+                X, donor, int(assign[donor]), e, int(kinds[donor]), assign, counts, term, sums
             )
             if lam == 0.0:
                 bounds.invalidate(donor)
@@ -501,14 +475,14 @@ def _fit_core(
             # nearest-centroid assignment (ties toward the lowest index).
             moves = bounds.nearest(centroids, assign)
             if moves:
-                n1, n2, c1, c2, term, sums = tallies(assign)
+                counts, term, sums = tallies(assign)
             previous = centroids.copy()
             update_centroids()
             bounds.shift(previous, centroids, assign)
         else:
             _sq_dists(cols, centroids, out=dist)
             moves = _sweep_blocked(
-                X, dist, assign, n1, n2, c1, c2, term, sums, g, w, lam, dist_scale, order
+                X, dist, assign, counts, term, sums, kinds, lam, dist_scale, order
             )
             update_centroids()
         trace.append(record())

@@ -98,14 +98,11 @@ def merge_small_clusters(
     np.add.at(sums, model.assignment, X)
     centroids = [np.array(model.centroids[j]) for j in range(k)]
     live = list(range(k))
-    parent = list(range(k))
+    owner = np.arange(k)  # the live cluster that holds each original one
 
-    merged_any = False
-    while True:
-        if len(live) <= cfg.min_clusters:
-            break
-        if all(sizes[j] >= cfg.min_cluster_total for j in live):
-            break
+    while len(live) > cfg.min_clusters and any(
+        sizes[j] < cfg.min_cluster_total for j in live
+    ):
         s = min(live, key=lambda j: (sizes[j], j))
         t = min(
             (j for j in live if j != s),
@@ -113,23 +110,14 @@ def merge_small_clusters(
         )
         sums[t] += sums[s]
         sizes[t] += sizes[s]
-        parent[s] = t
+        owner[owner == s] = t
         live.remove(s)
         if sizes[t] > 0:
             centroids[t] = sums[t] / sizes[t]
-        merged_any = True
 
-    if not merged_any:
+    if len(live) == k:
         return model
-
-    def root(j: int) -> int:
-        while parent[j] != j:
-            j = parent[j]
-        return j
-
-    remap = {old: new for new, old in enumerate(live)}
-    new_ids = np.array([remap[root(j)] for j in range(k)], dtype=np.int64)
-    new_assign = new_ids[model.assignment]
+    new_assign = np.searchsorted(live, owner)[model.assignment]
     new_centroids = np.stack([centroids[old] for old in live])
     new_assign.setflags(write=False)
     new_centroids.setflags(write=False)
@@ -205,7 +193,6 @@ def cluster_reports(
     cfg: LoganConfig,
     kinds: Sequence[MetricKind] = (MetricKind.ACCURACY,),
     top_tokens: int = 0,
-    stop_tokens: Iterable[str] = (),
 ) -> list[ClusterReport]:
     """One report per cluster of a (typically merged) model.
 
@@ -231,9 +218,7 @@ def cluster_reports(
         if top_tokens > 0:
             member_tokens = [tokens[i] for i in np.flatnonzero(members)]
             if any(toks is not None for toks in member_tokens):
-                top = interpret_cluster(
-                    member_tokens, corpus_counts, top_n=top_tokens, stop_tokens=stop_tokens
-                )
+                top = interpret_cluster(member_tokens, corpus_counts, top_n=top_tokens)
         reports.append(
             ClusterReport(
                 cluster_id=j,

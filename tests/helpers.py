@@ -250,11 +250,12 @@ def best_single_move_delta(dataset: Dataset, model: ClusterModel, cfg: LoganConf
     dist_scale = 1.0 / dataset.n if cfg.normalize_clustering_loss else 1.0
     own = np.asarray(model.assignment, dtype=np.intp)
     kinds = 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
-    counts = (*stats.group_counts.T.tolist(), *stats.correct_counts.T.tolist())
+    k = model.n_clusters
+    counts = np.bincount(4 * own + kinds, minlength=4 * k).reshape(k, 4).tolist()
     term = stats.gap_terms().tolist()
-    table = np.empty((8, model.n_clusters), dtype=np.float64)
-    for j in range(model.n_clusters):
-        _set_bias_column(table, j, *counts, term, cfg.lam)
+    table = np.empty((8, k), dtype=np.float64)
+    for j in range(k):
+        _set_bias_column(table, j, counts[j], term[j], cfg.lam)
     rows = np.arange(len(own))
     delta = dist_scale * (dist - dist[rows, own][:, None])
     delta += table[kinds, own][:, None]
