@@ -38,8 +38,8 @@ The sweep is evaluated in numpy blocks of consecutive visits, and is exact
 ``tests/helpers.py`` keeps as the reference) for four reasons.  Centroids
 are fixed during a sweep, and the visit order is a permutation, so an
 instance is visited once and keeps its cluster p until then: its distance
-part ``dist_scale * (D[i, q] - D[i, p])`` is fixed for the whole sweep and
-is computed once per sweep for every visit.  The bias part depends on the
+part ``D[i, q] - D[i, p]`` is fixed for the whole sweep and is computed
+once per sweep for every visit.  The bias part depends on the
 running counts only through one (8, k) table indexed by the instance's
 kind: rows 0-3 hold the reward lost by leaving a cluster and rows 4-7 the
 reward gained by joining it, both built from the kind counts with the same
@@ -104,8 +104,6 @@ class ClusterModel:
     triple per recorded state: index 0 is the state after initialization
     (nearest-seed assignment plus one centroid update), each following
     entry the state after one full iteration (sweep + centroid update).
-    ``clustering_loss`` is recorded raw even when the optimizer scales it
-    inside ``total``.
     """
 
     centroids: np.ndarray
@@ -338,7 +336,6 @@ def _sweep_blocked(
     sums: np.ndarray,
     kinds: np.ndarray,
     lam: float,
-    dist_scale: float,
     order: np.ndarray,
 ) -> int:
     """One greedy assignment sweep with centroids fixed, visiting the
@@ -360,7 +357,6 @@ def _sweep_blocked(
     kinds = kinds[order]  # per visit
     part = dist.take(order, axis=0)
     np.subtract(part, part[visits, own][:, None], out=part)
-    part *= dist_scale
     # flat indices of each visit's leave entry in the table and of its
     # stay column in ``delta``, and its row of join entries
     leave_at = kinds * k + own
@@ -412,7 +408,6 @@ def _fit_core(
     n = len(X)
     k = len(centroids)
     lam = cfg.lam
-    dist_scale = 1.0 / n if cfg.normalize_clustering_loss else 1.0
     kinds = 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
     order = np.arange(n) if sweep_order is None else np.asarray(sweep_order, np.intp)
 
@@ -440,7 +435,7 @@ def _fit_core(
         diffs = np.subtract(X, gathered, out=gathered)
         l_c = float(np.einsum("ij,ij->", diffs, diffs))
         l_b = -float(sum(term))
-        return (l_c, l_b, dist_scale * l_c + lam * l_b)
+        return (l_c, l_b, l_c + lam * l_b)
 
     def update_centroids() -> None:
         # Re-seed any emptied cluster with the instance farthest from its
@@ -481,9 +476,7 @@ def _fit_core(
             bounds.shift(previous, centroids, assign)
         else:
             _sq_dists(cols, centroids, out=dist)
-            moves = _sweep_blocked(
-                X, dist, assign, counts, term, sums, kinds, lam, dist_scale, order
-            )
+            moves = _sweep_blocked(X, dist, assign, counts, term, sums, kinds, lam, order)
             update_centroids()
         trace.append(record())
         if moves == 0:

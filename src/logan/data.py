@@ -71,12 +71,11 @@ class Dataset:
 class LoganConfig:
     """Knobs for the full detection pipeline.
 
-    ``lam`` weights the bias-gap reward against the clustering loss;
-    ``min_cluster_total`` / ``min_clusters`` drive small-cluster merging;
-    ``min_per_group`` and ``bias_threshold`` gate which clusters may be
-    flagged as biased.  ``normalize_clustering_loss`` divides the clustering
-    loss by n inside the optimized objective (off by default, so ``lam``
-    acts on the raw inertia scale).
+    ``lam`` weights the bias-gap reward against the raw k-means inertia, so
+    its useful range depends on the feature scale; ``standardize`` z-scores
+    the features before clustering.  ``min_cluster_total`` /
+    ``min_clusters`` drive small-cluster merging; ``min_per_group`` and
+    ``bias_threshold`` gate which clusters may be flagged as biased.
     """
 
     k: int = 10
@@ -88,7 +87,6 @@ class LoganConfig:
     min_per_group: int = 20
     bias_threshold: float = 0.05
     standardize: bool = False
-    normalize_clustering_loss: bool = False
 
     def __post_init__(self) -> None:
         if self.min_clusters < 1:

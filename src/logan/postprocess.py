@@ -13,7 +13,7 @@ import re
 from sys import intern
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,7 +150,6 @@ def interpret_cluster(
     cluster_tokens: Sequence[list[str] | None],
     corpus_counts: Counter[str],
     top_n: int = 10,
-    stop_tokens: Iterable[str] = (),
 ) -> tuple[str, ...]:
     """Tokens most over-represented in a cluster relative to the corpus.
 
@@ -158,22 +157,20 @@ def interpret_cluster(
     for a member without text) and ``corpus_counts`` the corpus token
     counts, both as ``tokenize_texts`` returns them.  Ranks tokens by the
     ratio of within-cluster relative frequency to corpus relative
-    frequency; ties break lexicographically.  Stop tokens are dropped from
-    both sides before ranking.  Raises ValueError when no cluster member
-    carries text.
+    frequency; ties break lexicographically.  Raises ValueError when no
+    cluster member carries text.
     """
-    stop = set(stop_tokens)
     cluster_counts: Counter[str] = Counter()
     saw_text = False
     for toks in cluster_tokens:
         if toks is None:
             continue
         saw_text = True
-        cluster_counts.update(t for t in toks if t not in stop)
+        cluster_counts.update(toks)
     if not saw_text:
         raise ValueError("no cluster instance carries text")
     cluster_total = sum(cluster_counts.values())
-    corpus_total = sum(c for tok, c in corpus_counts.items() if tok not in stop)
+    corpus_total = sum(corpus_counts.values())
     if cluster_total == 0 or corpus_total == 0:
         return ()
     ranked = sorted(

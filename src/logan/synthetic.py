@@ -52,6 +52,8 @@ class PlantedBiasSpec:
             raise ValueError("n_clusters, n_per_component and dim must be >= 1")
         if not 0.0 <= self.planted_gap <= 1.0:
             raise ValueError(f"planted_gap must be in [0, 1], got {self.planted_gap}")
+        if not math.isfinite(self.background_acc):
+            raise ValueError(f"background_acc must be finite, got {self.background_acc}")
         lo = self.background_acc - self.planted_gap / 2.0
         hi = self.background_acc + self.planted_gap / 2.0
         if lo < 0.0 or hi > 1.0:
@@ -65,8 +67,11 @@ class PlantedBiasSpec:
                 f"planted_component {self.planted_component} out of range "
                 f"[0, {self.n_clusters})"
             )
-        if self.component_separation <= 0:
-            raise ValueError("component_separation must be positive")
+        if not 0.0 < self.component_separation < math.inf:
+            raise ValueError(
+                "component_separation must be finite and positive, "
+                f"got {self.component_separation}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -154,18 +154,12 @@ def objective(
     stats: ClusterStats,
     assignment: np.ndarray,
     lam: float,
-    clustering_scale: float = 1.0,
 ) -> tuple[float, float, float]:
-    """Evaluate (clustering_loss, bias_loss, total) for one state.
-
-    ``clustering_loss`` is returned raw; ``total`` applies
-    ``clustering_scale`` (1/n when the config normalizes the clustering
-    loss, 1 otherwise) before adding ``lam * bias_loss``.
-    """
+    """Evaluate (clustering_loss, bias_loss, total) for one state."""
     diffs = dataset.feature_matrix - stats.centroids[assignment]
     l_c = float(np.einsum("ij,ij->", diffs, diffs))
     l_b = stats.bias_loss()
-    return l_c, l_b, clustering_scale * l_c + lam * l_b
+    return l_c, l_b, l_c + lam * l_b
 
 
 def _sweep_sequential(
@@ -181,7 +175,6 @@ def _sweep_sequential(
     g: Sequence[int],
     w: Sequence[int],
     lam: float,
-    dist_scale: float,
     order: Sequence[int],
 ) -> int:
     """One greedy assignment sweep with centroids fixed, one instance at a
@@ -215,7 +208,7 @@ def _sweep_sequential(
                     term_q_after = 0.0
                 else:
                     term_q_after = (qc1 / qn1 - qc2 / qn2) ** 2
-                delta = dist_scale * (row[q] - dp) + base + lam * (term[q] - term_q_after)
+                delta = row[q] - dp + base + lam * (term[q] - term_q_after)
             if delta < best_delta:
                 best_delta = delta
                 best_q = q
@@ -247,7 +240,6 @@ def best_single_move_delta(dataset: Dataset, model: ClusterModel, cfg: LoganConf
     stats = ClusterStats.from_assignment(dataset, model.assignment, model.centroids)
     dist = _sq_dists(np.ascontiguousarray(dataset.feature_matrix.T), model.centroids)
     _check_finite(dist)
-    dist_scale = 1.0 / dataset.n if cfg.normalize_clustering_loss else 1.0
     own = np.asarray(model.assignment, dtype=np.intp)
     kinds = 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
     k = model.n_clusters
@@ -257,7 +249,7 @@ def best_single_move_delta(dataset: Dataset, model: ClusterModel, cfg: LoganConf
     for j in range(k):
         _set_bias_column(table, j, counts[j], term[j], cfg.lam)
     rows = np.arange(len(own))
-    delta = dist_scale * (dist - dist[rows, own][:, None])
+    delta = dist - dist[rows, own][:, None]
     delta += table[kinds, own][:, None]
     delta += table[4 + kinds]
     delta[rows, own] = 0.0
@@ -271,7 +263,6 @@ def reference_best_single_move_delta(dataset: Dataset, model, cfg) -> float:
     n = dataset.n
     k = model.n_clusters
     lam = cfg.lam
-    dist_scale = 1.0 / n if cfg.normalize_clustering_loss else 1.0
     g = dataset.group_codes
     w = dataset.correct_flags
     dist_mat = cdist(dataset.feature_matrix, model.centroids, "sqeuclidean")
@@ -298,11 +289,7 @@ def reference_best_single_move_delta(dataset: Dataset, model, cfg) -> float:
                 term_q_after = _term(n1[q] + 1, n2[q], c1[q] + wi, c2[q])
             else:
                 term_q_after = _term(n1[q], n2[q] + 1, c1[q], c2[q] + wi)
-            delta = (
-                dist_scale * (float(dist_mat[i, q]) - dp)
-                + base
-                + lam * (term[q] - term_q_after)
-            )
+            delta = float(dist_mat[i, q]) - dp + base + lam * (term[q] - term_q_after)
             if delta < best:
                 best = delta
     return best
@@ -322,8 +309,6 @@ def reference_lloyd(dataset: Dataset, seeds: np.ndarray, cfg):
     """
     X = dataset.feature_matrix
     cols = np.ascontiguousarray(X.T)
-    n = len(X)
-    scale = 1.0 / n if cfg.normalize_clustering_loss else 1.0
     g = dataset.group_codes
     w = dataset.correct_flags
     centroids = np.array(seeds, dtype=np.float64)
@@ -356,7 +341,7 @@ def reference_lloyd(dataset: Dataset, seeds: np.ndarray, cfg):
             for counts, correct in zip(stats.group_counts.tolist(), stats.correct_counts.tolist())
         ]
         l_b = -float(sum(terms))
-        return (l_c, l_b, scale * l_c + 0.0 * l_b)
+        return (l_c, l_b, l_c + 0.0 * l_b)
 
     update()
     trace = [record()]
@@ -397,7 +382,6 @@ def reference_logan_fit(
     cols = np.ascontiguousarray(X.T)
     n = len(X)
     lam = cfg.lam
-    scale = 1.0 / n if cfg.normalize_clustering_loss else 1.0
     g = dataset.group_codes.tolist()
     w = dataset.correct_flags.tolist()
     order = range(n) if order is None else [int(i) for i in order]
@@ -433,7 +417,7 @@ def reference_logan_fit(
         diffs = X - centroids[assign]
         l_c = float(np.einsum("ij,ij->", diffs, diffs))
         l_b = -float(sum(term))
-        return (l_c, l_b, scale * l_c + lam * l_b)
+        return (l_c, l_b, l_c + lam * l_b)
 
     update()
     trace = [record()]
@@ -442,7 +426,7 @@ def reference_logan_fit(
         if not np.isfinite(dist).all():
             raise ValueError("squared distances overflow")
         moves = _sweep_sequential(
-            X, dist.tolist(), assign, n1, n2, c1, c2, term, sums, g, w, lam, scale, order
+            X, dist.tolist(), assign, n1, n2, c1, c2, term, sums, g, w, lam, order
         )
         update()
         trace.append(record())

@@ -278,7 +278,6 @@ def test_sequential_sweep_matches_batch_at_lambda_zero():
         d.group_codes.tolist(),
         d.correct_flags.tolist(),
         0.0,
-        1.0,
         range(d.n),
     )
     assert moves >= 1
@@ -306,15 +305,6 @@ def test_permutation_equivariance_with_fixed_init():
     permuted = _fit_core(d_perm, cents, cfg, sweep_order=position.tolist())
     for old_idx in range(30):
         assert permuted.assignment[position[old_idx]] == base.assignment[old_idx]
-
-
-def test_normalized_clustering_loss_option():
-    rng = np.random.default_rng(61)
-    d = random_dataset(rng, 80, dim=2)
-    cfg = cfg_for(4, lam=2.0, seed=3, normalize_clustering_loss=True)
-    model = logan_fit(d, cfg)
-    for l_c, l_b, total in model.objective_trace:
-        assert total == l_c / d.n + 2.0 * l_b
 
 
 def test_k_larger_than_n_rejected():
@@ -379,8 +369,7 @@ def sweep_states(draw):
     w = rng.integers(0, 2, size=n)
     order = rng.permutation(n) if draw(st.booleans()) else np.arange(n)
     lam = draw(st.sampled_from(LAMBDAS))
-    dist_scale = draw(st.sampled_from([1.0, 1.0 / n]))
-    return X, dist, assign, g.astype(np.int8), w.astype(np.int8), order, lam, dist_scale
+    return X, dist, assign, g.astype(np.int8), w.astype(np.int8), order, lam
 
 
 def _sweep_args(X, dist, assign, g, w):
@@ -409,12 +398,12 @@ def _kind_counts(n1, n2, c1, c2):
 @settings(max_examples=300, deadline=None)
 @given(sweep_states())
 def test_blocked_sweep_matches_sequential_loop_exactly(state):
-    X, dist, assign, g, w, order, lam, dist_scale = state
+    X, dist, assign, g, w, order, lam = state
     ref, got, kinds = _sweep_args(X, dist, assign, g, w)
     ref_moves = _sweep_sequential(
-        X, dist.tolist(), *ref, g.tolist(), w.tolist(), lam, dist_scale, order.tolist()
+        X, dist.tolist(), *ref, g.tolist(), w.tolist(), lam, order.tolist()
     )
-    got_moves = _sweep_blocked(X, dist, *got, kinds, lam, dist_scale, order)
+    got_moves = _sweep_blocked(X, dist, *got, kinds, lam, order)
     assert got_moves == ref_moves
     assert got[0].tolist() == ref[0]
     assert got[1] == _kind_counts(*ref[1:5])
@@ -435,20 +424,16 @@ def test_blocked_sweep_sums_each_delta_in_the_loops_order():
     ref, got, kinds = _sweep_args(X, dist, assign, g, w)
     order = np.arange(6)
     assert _sweep_sequential(
-        X, dist.tolist(), *ref, g.tolist(), w.tolist(), 1.0, 1.0, order.tolist()
+        X, dist.tolist(), *ref, g.tolist(), w.tolist(), 1.0, order.tolist()
     ) == 1
-    assert _sweep_blocked(X, dist, *got, kinds, 1.0, 1.0, order) == 1
+    assert _sweep_blocked(X, dist, *got, kinds, 1.0, order) == 1
     assert got[0].tolist() == ref[0] == [1, 0, 1, 1, 1, 1]
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    sweep_states(),
-    st.sampled_from((0.0, *LAMBDAS)),
-    st.booleans(),
-)
-def test_best_single_move_delta_matches_loop_exactly(state, lam, normalize):
-    X, _, assign, g, w, _, _, _ = state
+@given(sweep_states(), st.sampled_from((0.0, *LAMBDAS)))
+def test_best_single_move_delta_matches_loop_exactly(state, lam):
+    X, _, assign, g, w, _, _ = state
     assume(len(g) >= 2)
     g[-1] = 1 - g[0]  # build_dataset needs both groups
     k = int(assign.max()) + 1
@@ -461,7 +446,7 @@ def test_best_single_move_delta_matches_loop_exactly(state, lam, normalize):
         converged=False,
         iterations_run=0,
     )
-    cfg = cfg_for(k, lam=lam, min_clusters=1, normalize_clustering_loss=normalize)
+    cfg = cfg_for(k, lam=lam, min_clusters=1)
     assert best_single_move_delta(d, model, cfg) == reference_best_single_move_delta(
         d, model, cfg
     )
@@ -505,12 +490,7 @@ def lloyd_states(draw):
         seeds = d.feature_matrix[rng.integers(n, size=k)]
     else:
         seeds = kmeanspp_init(d, k, seed=int(rng.integers(1000)))
-    cfg = cfg_for(
-        k,
-        min_clusters=1,
-        max_iter=draw(st.sampled_from([1, 2, 3, 100])),
-        normalize_clustering_loss=draw(st.booleans()),
-    )
+    cfg = cfg_for(k, min_clusters=1, max_iter=draw(st.sampled_from([1, 2, 3, 100])))
     return d, seeds, cfg
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import logan
 
-from logan.cli import main, run_detect
+from logan.cli import _config_from_args, build_parser, main, run_detect
 from logan.data import LoganConfig
 from logan.io import (
     AuditReport,
@@ -276,6 +277,28 @@ def test_detect_non_finite_flag_exits_one(planted_file, tmp_path, capsys, flag, 
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_every_config_field_is_a_cli_flag():
+    """Every flag of ``detect`` set away from its default moves every
+    config field but ``lam`` (the grid sets it) away from its default, so
+    no field is a knob that no flag reaches."""
+    required = ["detect", "--input", "in.csv", "--output", "out.json"]
+    flags = (
+        "--format csv --k 7 --lambdas 2,3 --seed 3 --bias-threshold 0.1 --min-per-group 5 "
+        "--min-cluster-total 6 --min-clusters 4 --max-iter 9 --standardize --metrics auc "
+        "--plot-data plot.csv"
+    ).split()
+    parser = build_parser()
+    defaults = vars(parser.parse_args(required))
+    args = parser.parse_args([*required, *flags])
+    for name, value in vars(args).items():
+        if name not in ("command", "input", "output"):
+            assert value != defaults[name], name
+    cfg = _config_from_args(args)
+    for field in dataclasses.fields(LoganConfig):
+        if field.name != "lam":
+            assert getattr(cfg, field.name) != field.default, field.name
+
+
 @pytest.mark.parametrize("command", ["detect", "baseline", "random-split", "synth"])
 def test_negative_seed_is_named(planted_file, tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -418,6 +441,19 @@ def test_synth_subcommand_round_trip(tmp_path, capsys):
     assert load_jsonl(out).n == 150
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag, field", [("background-acc", "background_acc"), ("separation", "component_separation")]
+)
+def test_synth_non_finite_flag_is_named(tmp_path, capsys, flag, field, value):
+    out = tmp_path / "synth.jsonl"
+    args = ["synth", "--preset", "planted-bias", f"--{flag}", value, "--output", str(out)]
+    assert main(args) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field} must be finite"), err
+
+
 def test_random_split_subcommand(planted_file, capsys):
     code = main(
         ["random-split", "--input", str(planted_file), "--runs", "5", "--seed", "3"]
@@ -479,8 +515,8 @@ def _text_rows(n=240, seed=3):
 # A change that alters report bytes on purpose updates these and says why in
 # CHANGES.md.
 PINNED_REPORTS = {
-    "detect": "53ad7093e6913f6056b9c5694fdbc0998a4c3849695f572b1c159111333563dc",
-    "baseline": "e26b77fa82fa2532543f3bc0c5385465f55e750d0459fb2ddf63ee3993e76376",
+    "detect": "ffbb6a5af37dec7b9a6f94b32a5504bb157c4adaee93caa64f39f18bc73e3240",
+    "baseline": "d321265830789d9b870b8d1ee520e300c6d1f1935bd07ffa62731d602ad3b6e8",
 }
 
 

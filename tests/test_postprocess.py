@@ -231,12 +231,6 @@ def test_interpret_cluster_overrepresented_tokens():
     assert interpret_cluster(cluster, corpus, top_n=2) == ("alpha", "beta")
 
 
-def test_interpret_cluster_stop_list_promotes_next():
-    corpus, cluster = tokens_fixture("alpha beta", "gamma")
-    top = interpret_cluster(cluster, corpus, top_n=1, stop_tokens=("alpha",))
-    assert top == ("beta",)
-
-
 def test_interpret_cluster_tie_is_lexicographic():
     corpus, cluster = tokens_fixture("zeta alpha", "gamma gamma")
     assert interpret_cluster(cluster, corpus, top_n=2) == ("alpha", "zeta")
