@@ -91,6 +91,10 @@ def run_detect(
     dataset = load_dataset(input_path, fmt)
     if cfg.standardize:
         dataset = standardize_features(dataset)
+    # before any fit, so a row without the score an AUC needs fails fast
+    global_gaps = {
+        kind.value: gap_result_to_dict(global_bias(dataset, kind)) for kind in metrics
+    }
 
     # k-means and every grid cell start from the same seeds
     seeds = clustering.kmeanspp_init(dataset, cfg.k, cfg.seed)
@@ -129,10 +133,7 @@ def run_detect(
     )
     report = AuditReport(
         config=config_echo,
-        global_gaps={
-            kind.value: gap_result_to_dict(global_bias(dataset, kind))
-            for kind in metrics
-        },
+        global_gaps=global_gaps,
         random_split={
             "metric": MetricKind.ACCURACY.value,
             "runs": _RANDOM_SPLIT_RUNS,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -134,6 +134,24 @@ def _check_score(value: Any, row_id: str) -> float:
     return score
 
 
+_NUMBER_TYPES = frozenset((float, int))
+
+
+def _is_clean(values: Sequence[Any]) -> bool:
+    """True when every value is a float or a non-bool int and converts to
+    a finite float.  ``fsum`` raises on an int too large for a float, and
+    its sum is NaN or infinite if any value is, so a finite sum clears
+    every value.  A sum that overflows from finite values also raises;
+    that row, like every row that is not clean, goes to the caller's
+    per-value loop, which accepts it or names the bad value."""
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        return False
+    try:
+        return math.isfinite(math.fsum(values))
+    except (OverflowError, ValueError):  # ValueError: inf + -inf
+        return False
+
+
 class DatasetBuilder:
     """Fills the columns of a Dataset one validated record at a time.
 
@@ -169,28 +187,35 @@ class DatasetBuilder:
         raw_features = row["features"]
         if not isinstance(raw_features, (list, tuple)) or len(raw_features) == 0:
             raise ValidationError(f"features of instance {rid!r} must be a nonempty list")
-        feats = []
-        for v in raw_features:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValidationError(f"non-numeric feature in instance {rid!r}: {v!r}")
-            try:
-                fv = float(v)
-            except OverflowError:  # an int too large for a float
-                raise ValidationError(
-                    f"feature out of float range in instance {rid!r}"
-                ) from None
-            if not math.isfinite(fv):
-                raise ValidationError(f"non-finite feature in instance {rid!r}: {v!r}")
-            feats.append(fv)
+        feats = raw_features
+        if not _is_clean(raw_features):
+            # name the first bad value
+            feats = []
+            for v in raw_features:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ValidationError(f"non-numeric feature in instance {rid!r}: {v!r}")
+                try:
+                    fv = float(v)
+                except OverflowError:  # an int too large for a float
+                    raise ValidationError(
+                        f"feature out of float range in instance {rid!r}"
+                    ) from None
+                if not math.isfinite(fv):
+                    raise ValidationError(f"non-finite feature in instance {rid!r}: {v!r}")
+                feats.append(fv)
         group = row["group"]
         if not isinstance(group, str) or not group:
             raise ValidationError(f"group of instance {rid!r} must be a nonempty string")
         text = row.get("text")
         if text is not None and not isinstance(text, str):
             raise ValidationError(f"text of instance {rid!r} must be a string")
-        label = _check_binary(row["label"], "label", rid)
-        pred = _check_binary(row["pred"], "pred", rid)
-        score = _check_score(row.get("score"), rid)
+        label, pred, score = row["label"], row["pred"], row.get("score")
+        if type(label) is not int or label not in (0, 1):
+            label = _check_binary(label, "label", rid)
+        if type(pred) is not int or pred not in (0, 1):
+            pred = _check_binary(pred, "pred", rid)
+        if type(score) is not float or not 0.0 <= score <= 1.0:
+            score = _check_score(score, rid)
         if self._dim is None:
             self._dim = len(feats)
         elif len(feats) != self._dim:

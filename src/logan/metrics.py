@@ -65,6 +65,15 @@ def _auc_from_arrays(labels: np.ndarray, scores: np.ndarray) -> float | None:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def _require_scores(dataset: Dataset, idx: np.ndarray) -> None:
+    """Raise ValueError naming the first of the rows ``idx`` without a
+    score."""
+    missing = np.isnan(dataset.scores[idx])
+    if missing.any():
+        first = dataset.ids[idx[np.argmax(missing)]]
+        raise ValueError(f"AUC requires a score on every instance; missing for {first!r}")
+
+
 def performance(dataset: Dataset, rows: np.ndarray, kind: MetricKind) -> float | None:
     """Performance of the model on the selected rows under the given metric.
 
@@ -87,14 +96,8 @@ def performance(dataset: Dataset, rows: np.ndarray, kind: MetricKind) -> float |
             return None
         return int(np.count_nonzero(dataset.preds[negatives] == 1)) / len(negatives)
     if kind is MetricKind.SUBGROUP_AUC:
-        scores = dataset.scores[idx]
-        missing = np.isnan(scores)
-        if missing.any():
-            first = dataset.ids[idx[np.argmax(missing)]]
-            raise ValueError(
-                f"AUC requires a score on every instance; missing for {first!r}"
-            )
-        return _auc_from_arrays(dataset.labels[idx], scores)
+        _require_scores(dataset, idx)
+        return _auc_from_arrays(dataset.labels[idx], dataset.scores[idx])
     raise ValueError(f"unknown metric kind: {kind!r}")
 
 
@@ -104,6 +107,8 @@ def group_gap(dataset: Dataset, rows: np.ndarray, kind: MetricKind) -> GapResult
     idx = np.arange(dataset.n)[rows]
     if len(idx) == 0:
         raise ValueError("group_gap requires a nonempty subset")
+    if kind is MetricKind.SUBGROUP_AUC:
+        _require_scores(dataset, idx)  # the first in row order, not group order
     in_first = dataset.group_codes[idx] == 0
     sub1 = idx[in_first]
     sub2 = idx[~in_first]

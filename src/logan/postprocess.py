@@ -10,7 +10,6 @@ cluster is *detectable* when both groups clear ``min_per_group`` and
 from __future__ import annotations
 
 import re
-from sys import intern
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -133,46 +132,23 @@ def merge_small_clusters(
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
 
-def tokenize_texts(
-    texts: Sequence[str | None],
-) -> tuple[list[list[str] | None], Counter[str]]:
-    """Token list of every text (None where a row has no text) and the
-    token counts of the whole corpus; each text is tokenized once.  Tokens
-    are interned, so the lists share one string per distinct token."""
-    tokens = [
-        None if text is None else [intern(t) for t in _TOKEN_RE.findall(text.lower())]
-        for text in texts
-    ]
-    return tokens, Counter(t for toks in tokens if toks is not None for t in toks)
-
-
 def interpret_cluster(
-    cluster_tokens: Sequence[list[str] | None],
+    cluster_counts: Counter[str],
     corpus_counts: Counter[str],
     top_n: int = 10,
 ) -> tuple[str, ...]:
     """Tokens most over-represented in a cluster relative to the corpus.
 
-    ``cluster_tokens`` holds the token list of each cluster member (None
-    for a member without text) and ``corpus_counts`` the corpus token
-    counts, both as ``tokenize_texts`` returns them.  Ranks tokens by the
-    ratio of within-cluster relative frequency to corpus relative
-    frequency; ties break lexicographically.  Raises ValueError when no
-    cluster member carries text.
+    ``cluster_counts`` holds the token counts of the cluster's texts and
+    ``corpus_counts`` those of every text, the cluster's included.  Ranks
+    tokens by the ratio of within-cluster relative frequency to corpus
+    relative frequency; ties break lexicographically.  Raises ValueError
+    when the cluster holds no token.
     """
-    cluster_counts: Counter[str] = Counter()
-    saw_text = False
-    for toks in cluster_tokens:
-        if toks is None:
-            continue
-        saw_text = True
-        cluster_counts.update(toks)
-    if not saw_text:
-        raise ValueError("no cluster instance carries text")
+    if not cluster_counts:
+        raise ValueError("no cluster instance carries a text token")
     cluster_total = sum(cluster_counts.values())
     corpus_total = sum(corpus_counts.values())
-    if cluster_total == 0 or corpus_total == 0:
-        return ()
     ranked = sorted(
         cluster_counts,
         key=lambda tok: (
@@ -199,23 +175,37 @@ def cluster_reports(
     cluster's most over-represented tokens.
     """
     wanted = list(dict.fromkeys([MetricKind.ACCURACY, *kinds]))
+    members = [model.assignment == j for j in range(model.n_clusters)]
+    # Token counts of each cluster's texts, None where no member has text.
+    # "\n" is no token character, so joining the texts keeps their tokens
+    # apart, and each row sits in one cluster, so the cluster counts add up
+    # to the corpus counts.
+    token_counts: list[Counter[str] | None] = [None] * model.n_clusters
+    corpus_counts: Counter[str] = Counter()
     if top_tokens > 0:
-        tokens, corpus_counts = tokenize_texts(dataset.texts)
+        for j, mask in enumerate(members):
+            texts = [dataset.texts[i] for i in np.flatnonzero(mask).tolist()]
+            texts = [text for text in texts if text is not None]
+            if texts:
+                token_counts[j] = Counter(_TOKEN_RE.findall("\n".join(texts).lower()))
+                corpus_counts.update(token_counts[j])
     reports = []
-    for j in range(model.n_clusters):
-        members = model.assignment == j
-        results = {kind: group_gap(dataset, members, kind) for kind in wanted}
+    for j, mask in enumerate(members):
+        results = {kind: group_gap(dataset, mask, kind) for kind in wanted}
         counts = results[MetricKind.ACCURACY]
         detectable = (
             counts.n_group1 >= cfg.min_per_group
             and counts.n_group2 >= cfg.min_per_group
         )
         biased = detectable and counts.gap is not None and counts.gap >= cfg.bias_threshold
+        cluster_tokens = token_counts[j]
         top: tuple[str, ...] | None = None
-        if top_tokens > 0:
-            member_tokens = [tokens[i] for i in np.flatnonzero(members)]
-            if any(toks is not None for toks in member_tokens):
-                top = interpret_cluster(member_tokens, corpus_counts, top_n=top_tokens)
+        if cluster_tokens is not None:
+            top = (
+                interpret_cluster(cluster_tokens, corpus_counts, top_n=top_tokens)
+                if cluster_tokens
+                else ()
+            )
         reports.append(
             ClusterReport(
                 cluster_id=j,

@@ -4,8 +4,11 @@ references the fast solver paths are checked against."""
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from sys import intern
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -17,7 +20,7 @@ from logan.clustering import (
     _sq_dists,
     _term,
 )
-from logan.data import Dataset, LoganConfig, build_dataset
+from logan.data import Dataset, LoganConfig, ValidationError, build_dataset
 
 
 def rows_from_arrays(features, groups, labels, preds, scores=None, texts=None):
@@ -82,6 +85,119 @@ def random_dataset(
         u = rng.random(n)
         scores = np.where(preds == 1, 0.5 + 0.5 * u, 0.5 * u)
     return make_dataset(features, groups.tolist(), labels, preds, scores)
+
+
+def reference_add(row: Mapping[str, Any]) -> tuple:
+    """What ``DatasetBuilder.add`` accepts for one record, as a plain loop
+    that checks one value at a time: the record's (id, features, group,
+    label, pred, score, text), or the ValidationError message naming its
+    first bad value.  Dimension and duplicate checks span records and are
+    left to the builder."""
+
+    def binary(value, name):
+        if isinstance(value, bool) or not isinstance(value, int) or value not in (0, 1):
+            raise ValidationError(
+                f"{name} must be 0 or 1 for instance {rid!r}, got {value!r}"
+            )
+        return value
+
+    try:
+        if "id" not in row or not isinstance(row["id"], str) or not row["id"]:
+            raise ValidationError(f"instance record missing a string 'id': {row!r}")
+        rid = row["id"]
+        for key in ("features", "group", "label", "pred"):
+            if key not in row:
+                raise ValidationError(f"instance {rid!r} missing field {key!r}")
+        raw_features = row["features"]
+        if not isinstance(raw_features, (list, tuple)) or len(raw_features) == 0:
+            raise ValidationError(f"features of instance {rid!r} must be a nonempty list")
+        feats = []
+        for v in raw_features:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValidationError(f"non-numeric feature in instance {rid!r}: {v!r}")
+            try:
+                fv = float(v)
+            except OverflowError:
+                raise ValidationError(
+                    f"feature out of float range in instance {rid!r}"
+                ) from None
+            if not math.isfinite(fv):
+                raise ValidationError(f"non-finite feature in instance {rid!r}: {v!r}")
+            feats.append(fv)
+        group = row["group"]
+        if not isinstance(group, str) or not group:
+            raise ValidationError(f"group of instance {rid!r} must be a nonempty string")
+        text = row.get("text")
+        if text is not None and not isinstance(text, str):
+            raise ValidationError(f"text of instance {rid!r} must be a string")
+        label = binary(row["label"], "label")
+        pred = binary(row["pred"], "pred")
+        score = row.get("score")
+        if score is None:
+            score = math.nan
+        elif isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise ValidationError(f"score must be a number for instance {rid!r}")
+        else:
+            try:
+                score = float(score)
+            except OverflowError:
+                raise ValidationError(
+                    f"score outside [0, 1] for instance {rid!r}"
+                ) from None
+            if not 0.0 <= score <= 1.0:
+                raise ValidationError(f"score {score} outside [0, 1] for instance {rid!r}")
+    except ValidationError as exc:
+        return (str(exc),)
+    return rid, feats, group, label, pred, score, text
+
+
+_TOKEN_RE = re.compile(r"[a-z0-9']+")
+
+
+def reference_tokenize_texts(
+    texts: Sequence[str | None],
+) -> tuple[list[list[str] | None], Counter[str]]:
+    """Token list of every text, each lowercased and tokenized on its own
+    (None where a row has no text), and the corpus token counts."""
+    tokens = [
+        None if text is None else [intern(t) for t in _TOKEN_RE.findall(text.lower())]
+        for text in texts
+    ]
+    return tokens, Counter(t for toks in tokens if toks is not None for t in toks)
+
+
+def reference_top_tokens(
+    texts: Sequence[str | None], assignment: Sequence[int], n_clusters: int, top_n: int
+) -> list[tuple[str, ...] | None]:
+    """Each cluster's ``top_tokens``, counted member by member from the
+    token lists of ``reference_tokenize_texts``: None for a cluster
+    without text, otherwise the tokens ranked by the ratio of in-cluster
+    to corpus relative frequency, ties broken lexicographically."""
+    tokens, corpus_counts = reference_tokenize_texts(texts)
+    corpus_total = sum(corpus_counts.values())
+    tops: list[tuple[str, ...] | None] = []
+    for j in range(n_clusters):
+        member_tokens = [tokens[i] for i, a in enumerate(assignment) if a == j]
+        if all(toks is None for toks in member_tokens):
+            tops.append(None)
+            continue
+        counts: Counter[str] = Counter()
+        for toks in member_tokens:
+            if toks is not None:
+                counts.update(toks)
+        total = sum(counts.values())
+        if total == 0:
+            tops.append(())
+            continue
+        ranked = sorted(
+            counts,
+            key=lambda tok: (
+                -(counts[tok] / total) / (max(corpus_counts[tok], counts[tok]) / corpus_total),
+                tok,
+            ),
+        )
+        tops.append(tuple(ranked[:top_n]))
+    return tops
 
 
 @dataclass

@@ -3,13 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from logan.clustering import (
     ClusterModel,
     _LloydBounds,
+    _SQ_DISTS_ROWS,
     _fit_core,
     _sq_dists,
     _sweep_blocked,
@@ -536,14 +537,16 @@ def test_logan_fit_matches_sequential_reference_exactly(state, lam, permuted, se
 @given(
     st.integers(1, 40),
     st.integers(1, 8),
-    st.integers(1, 60),
+    st.integers(1, 60) | st.sampled_from([_SQ_DISTS_ROWS + 1, 2 * _SQ_DISTS_ROWS + 37]),
     st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6, 1e155]),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
+@example(dim=3, k=4, n=2 * _SQ_DISTS_ROWS + 37, scale=1.0, on_grid=False, seed=1)
 def test_sq_dists_matches_cdist_bitwise(dim, k, n, scale, on_grid, seed):
     """Integer-grid inputs give exact ties; at scale 1e155 some squared
-    differences overflow to inf."""
+    differences overflow to inf.  Past ``_SQ_DISTS_ROWS`` rows the
+    distances are computed block by block."""
     rng = np.random.default_rng(seed)
     if on_grid:
         X = rng.integers(-3, 4, size=(n, dim)) * scale

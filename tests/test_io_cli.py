@@ -382,6 +382,35 @@ def test_unknown_metric_is_an_error(planted_file, tmp_path, capsys):
     assert "unknown metric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["detect", "baseline"])
+def test_auc_without_a_score_fails_before_any_fit(tmp_path, capsys, monkeypatch, command):
+    """The first scoreless row in file order is named (x7, group b, before
+    x10 of group a), and no clustering starts."""
+    lines = [
+        jsonl_line(i, **({} if i in (7, 10) else {"score": 0.25 + 0.5 * (i % 2)}))
+        for i in range(40)
+    ]
+    path = tmp_path / "data.jsonl"
+    write_lines(path, lines)
+    calls = []
+
+    def no_fit(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("a fit ran")
+
+    monkeypatch.setattr(logan.clustering, "kmeanspp_init", no_fit)
+    monkeypatch.setattr(logan.cli, "kmeans_fit", no_fit)
+    monkeypatch.setattr(logan.cli, "grid_search", no_fit)
+    out = tmp_path / "report.json"
+    code = main([command, "--input", str(path), "--output", str(out), "--metrics", "auc"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: AUC requires a score on every instance; missing for 'x7'\n"
+    )
+    assert calls == []
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- plot data
 
 def test_emit_plot_data_rows_and_round_trip(planted_file, tmp_path):

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logan.clustering import ClusterModel, kmeans_fit
 from logan.data import LoganConfig
@@ -10,10 +14,9 @@ from logan.postprocess import (
     inertia,
     interpret_cluster,
     merge_small_clusters,
-    tokenize_texts,
 )
 
-from helpers import make_dataset, random_dataset
+from helpers import make_dataset, random_dataset, reference_top_tokens
 
 
 def manual_model(centroids, assignment):
@@ -208,22 +211,11 @@ def test_inertia_matches_trace():
 # ------------------------------------------------------------- token summary
 
 def tokens_fixture(cluster_text, corpus_extra_text, n_each=2):
-    feats, groups, labels, preds, texts = [], [], [], [], []
-    for i in range(n_each):
-        feats.append([0.0])
-        groups.append("a" if i % 2 == 0 else "b")
-        labels.append(1)
-        preds.append(1)
-        texts.append(cluster_text)
-    for i in range(n_each):
-        feats.append([10.0])
-        groups.append("a" if i % 2 == 0 else "b")
-        labels.append(1)
-        preds.append(1)
-        texts.append(corpus_extra_text)
-    d = make_dataset(feats, groups, labels, preds, texts=texts)
-    tokens, corpus_counts = tokenize_texts(d.texts)
-    return corpus_counts, tokens[:n_each]
+    """Corpus and cluster token counts: the cluster holds ``n_each`` rows of
+    ``cluster_text``, the corpus those plus ``n_each`` of
+    ``corpus_extra_text``."""
+    cluster = Counter(cluster_text.split() * n_each)
+    return cluster + Counter(corpus_extra_text.split() * n_each), cluster
 
 
 def test_interpret_cluster_overrepresented_tokens():
@@ -239,6 +231,45 @@ def test_interpret_cluster_tie_is_lexicographic():
 def test_interpret_cluster_without_text_raises():
     feats = [[0.0], [1.0]]
     d = make_dataset(feats, ["a", "b"], [1, 1], [1, 1])
-    tokens, corpus_counts = tokenize_texts(d.texts)
+    model = manual_model([[0.0], [1.0]], [0, 1])
+    cfg = LoganConfig(k=2, min_clusters=1)
+    reports = cluster_reports(model, d, cfg, top_tokens=10)
+    assert [r.top_tokens for r in reports] == [None, None]
     with pytest.raises(ValueError, match="text"):
-        interpret_cluster(tokens, corpus_counts)
+        interpret_cluster(Counter(), Counter())
+
+
+# Characters whose lowercase forms hold token characters (the Kelvin sign
+# and dotted capital I), sigma in its capital, medial and final forms, and
+# separators, so the oracle sees tokens split and joined across rows.
+_TEXT_CHARS = "abZ09' -\n.\u212a\u0130\u03a3\u03c3\u03c2\u00e9"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(
+        st.one_of(st.none(), st.text(alphabet=_TEXT_CHARS, max_size=12)),
+        min_size=4,
+        max_size=30,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_top_tokens_match_the_per_row_oracle(k, texts, rnd):
+    """One count per cluster over its joined texts gives the tuples of
+    counting each row's token list, row by row."""
+    n = len(texts)
+    k = min(k, n // 2)
+    assignment = [i % k for i in range(n)]
+    rnd.shuffle(assignment)
+    d = make_dataset(
+        [[float(a)] for a in assignment],
+        ["a", "b"] * (n // 2) + ["a"] * (n % 2),
+        [1] * n,
+        [1] * n,
+        texts=texts,
+    )
+    model = manual_model([[float(j)] for j in range(k)], assignment)
+    reports = cluster_reports(model, d, LoganConfig(k=k, min_clusters=1), top_tokens=10)
+    expected = reference_top_tokens(texts, assignment, k, 10)
+    assert [r.top_tokens for r in reports] == expected
