@@ -98,16 +98,16 @@ def run_detect(
 
     # k-means and every grid cell start from the same seeds
     seeds = clustering.kmeanspp_init(dataset, cfg.k, cfg.seed)
-    baseline_model = merge_small_clusters(kmeans_fit(dataset, cfg, seeds), dataset, cfg)
     if lambdas is not None:
+        # the grid fits the k-means baseline as its weight-0 cell
         grid = grid_search(dataset, cfg, lambdas, initial_centroids=seeds)
         audited_model = grid.chosen.model
         chosen_lambda: float | None = grid.chosen_lambda
         comparison = comparison_to_dict(
-            compare(audited_model, baseline_model, dataset, grid.chosen.reports)
+            compare(audited_model, grid.baseline.model, dataset, grid.chosen.reports)
         )
     else:
-        audited_model = baseline_model
+        audited_model = merge_small_clusters(kmeans_fit(dataset, cfg, seeds), dataset, cfg)
         chosen_lambda = None
         comparison = None
 

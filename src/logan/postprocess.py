@@ -91,33 +91,34 @@ def merge_small_clusters(
     afterwards.  Returns the input model unchanged when nothing merges.
     """
     k = model.n_clusters
-    sizes = model.cluster_sizes().tolist()
+    sizes = model.cluster_sizes()
     X = dataset.feature_matrix
     sums = np.zeros((k, dataset.dim), dtype=np.float64)
     np.add.at(sums, model.assignment, X)
-    centroids = [np.array(model.centroids[j]) for j in range(k)]
-    live = list(range(k))
+    centroids = np.array(model.centroids, dtype=np.float64)
+    alive = np.ones(k, dtype=bool)
     owner = np.arange(k)  # the live cluster that holds each original one
+    # a merged-away cluster ranks after every live one as the smallest
+    dead_size = np.iinfo(sizes.dtype).max
 
-    while len(live) > cfg.min_clusters and any(
-        sizes[j] < cfg.min_cluster_total for j in live
-    ):
-        s = min(live, key=lambda j: (sizes[j], j))
-        t = min(
-            (j for j in live if j != s),
-            key=lambda j: (float(np.sum((centroids[s] - centroids[j]) ** 2)), j),
-        )
+    while np.count_nonzero(alive) > cfg.min_clusters:
+        s = int(np.argmin(np.where(alive, sizes, dead_size)))
+        if sizes[s] >= cfg.min_cluster_total:
+            break
+        alive[s] = False
+        others = np.flatnonzero(alive)
+        t = int(others[np.argmin(np.sum((centroids[others] - centroids[s]) ** 2, axis=1))])
         sums[t] += sums[s]
         sizes[t] += sizes[s]
         owner[owner == s] = t
-        live.remove(s)
         if sizes[t] > 0:
             centroids[t] = sums[t] / sizes[t]
 
-    if len(live) == k:
+    if alive.all():
         return model
+    live = np.flatnonzero(alive)
     new_assign = np.searchsorted(live, owner)[model.assignment]
-    new_centroids = np.stack([centroids[old] for old in live])
+    new_centroids = centroids[live]
     new_assign.setflags(write=False)
     new_centroids.setflags(write=False)
     return ClusterModel(

@@ -1,10 +1,16 @@
-"""Grid search over the bias-loss weight.
+"""Grid search over the bias-loss weight, with the k-means baseline.
 
 Each candidate weight runs the full fit -> merge -> report pipeline from
 the same seed, so the weight is the only varying factor.  The winner is the
 weight whose clustering exposes the most biased clusters; ties go to the
 larger maximum gap, then to the smaller weight.  The rule is order-free, so
 permuting the grid cannot change the choice.
+
+The k-means baseline every cell is compared against is the same pipeline
+at weight 0 (``kmeans_fit`` is ``logan_fit`` with the weight off), so it is
+fitted as one more cell, the first, and returned beside the grid's cells.
+Each distinct weight is fitted once: a grid holding 0 reuses the baseline
+cell, and a repeated weight reuses its first cell.
 
 The cells share nothing but their inputs, so they run concurrently in
 worker processes forked from the caller, one per usable CPU (at most one
@@ -45,10 +51,12 @@ class GridCell:
 
 @dataclass(frozen=True)
 class GridResult:
-    """All grid cells (in the order given) and the selected one."""
+    """All grid cells (in the order given), the selected one, and the
+    weight-0 cell, whose merged model is the k-means baseline."""
 
     cells: tuple[GridCell, ...]
     chosen: GridCell
+    baseline: GridCell
 
     @property
     def chosen_lambda(self) -> float:
@@ -66,19 +74,24 @@ def grid_search(
     Every fit starts from ``initial_centroids``, or from the k-means++
     seeds of ``cfg.seed`` when they are not given.  ``max_gap`` per cell is
     the largest accuracy gap over detectable clusters (0 when none is
-    detectable).  The cells run in forked worker processes (see the module
-    docstring); an exception raised by a cell is raised here, that of the
-    first failing cell in grid order, and a worker that dies raises
+    detectable).  The k-means baseline is fitted too, as the weight-0 cell,
+    and each distinct weight only once.  The cells run in forked worker
+    processes (see the module docstring); an exception raised by a cell is
+    raised here, that of the baseline first and then of the first failing
+    cell in grid order, and a worker that dies raises
     ``concurrent.futures.process.BrokenProcessPool``, a ``RuntimeError``.
     """
     if len(lambdas) == 0:
         raise ValueError("lambda grid must be nonempty")
     if any(lam < 0 for lam in lambdas):
         raise ValueError("lambda values must be >= 0")
-    workers = _worker_count(len(lambdas))
+    grid = [float(lam) for lam in lambdas]
+    # the baseline first, so it is fitted (and fails) first
+    weights = list(dict.fromkeys([0.0, *grid]))
+    workers = _worker_count(len(weights))
     context = _fork_context() if workers > 1 else None
     if context is None:
-        cells = [_fit_cell(dataset, cfg, initial_centroids, lam) for lam in lambdas]
+        fitted = [_fit_cell(dataset, cfg, initial_centroids, lam) for lam in weights]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -89,13 +102,16 @@ def grid_search(
             initargs=(dataset, cfg, initial_centroids),
         )
         try:
-            cells = list(pool.map(_worker_cell, lambdas))
+            fitted = list(pool.map(_worker_cell, weights))
         finally:
             # after a failed cell, start none of the later ones, as the
             # in-process loop would not
             pool.shutdown(cancel_futures=True)
+    by_weight = dict(zip(weights, fitted))
+    # each entry keeps its own weight, so a -0.0 entry still reads -0.0
+    cells = [replace(by_weight[lam], lam=lam) for lam in grid]
     best = max(cells, key=lambda c: (c.biased_count, c.max_gap, -c.lam))
-    return GridResult(cells=tuple(cells), chosen=best)
+    return GridResult(cells=tuple(cells), chosen=best, baseline=fitted[0])
 
 
 def _fit_cell(

@@ -200,6 +200,46 @@ def reference_top_tokens(
     return tops
 
 
+def reference_merge_small_clusters(
+    model: ClusterModel, dataset: Dataset, cfg: LoganConfig
+) -> ClusterModel:
+    """``merge_small_clusters`` one live cluster at a time: the smallest
+    live cluster by ``min`` over (size, id), its nearest live neighbour by
+    ``min`` over (one ``np.sum`` per pair, id)."""
+    k = model.n_clusters
+    sizes = model.cluster_sizes().tolist()
+    sums = np.zeros((k, dataset.dim), dtype=np.float64)
+    np.add.at(sums, model.assignment, dataset.feature_matrix)
+    centroids = [np.array(model.centroids[j]) for j in range(k)]
+    live = list(range(k))
+    owner = np.arange(k)
+
+    while len(live) > cfg.min_clusters and any(
+        sizes[j] < cfg.min_cluster_total for j in live
+    ):
+        s = min(live, key=lambda j: (sizes[j], j))
+        t = min(
+            (j for j in live if j != s),
+            key=lambda j: (float(np.sum((centroids[s] - centroids[j]) ** 2)), j),
+        )
+        sums[t] += sums[s]
+        sizes[t] += sizes[s]
+        owner[owner == s] = t
+        live.remove(s)
+        if sizes[t] > 0:
+            centroids[t] = sums[t] / sizes[t]
+
+    if len(live) == k:
+        return model
+    return ClusterModel(
+        centroids=np.stack([centroids[old] for old in live]),
+        assignment=np.searchsorted(live, owner)[model.assignment],
+        objective_trace=model.objective_trace,
+        converged=model.converged,
+        iterations_run=model.iterations_run,
+    )
+
+
 @dataclass
 class ClusterStats:
     """Per-cluster tallies counted from scratch, the reference for the

@@ -575,6 +575,7 @@ def test_detect_standardize_flag(planted_file, tmp_path):
 
 def test_module_invocation_smoke(planted_file, tmp_path):
     out = tmp_path / "report.json"
+    src = str(Path(logan.__file__).resolve().parents[1])
     proc = subprocess.run(
         [
             sys.executable,
@@ -586,6 +587,7 @@ def test_module_invocation_smoke(planted_file, tmp_path):
             "--output",
             str(out),
         ],
+        env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
     )

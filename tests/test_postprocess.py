@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,12 @@ from logan.postprocess import (
     merge_small_clusters,
 )
 
-from helpers import make_dataset, random_dataset, reference_top_tokens
+from helpers import (
+    make_dataset,
+    random_dataset,
+    reference_merge_small_clusters,
+    reference_top_tokens,
+)
 
 
 def manual_model(centroids, assignment):
@@ -108,6 +114,50 @@ def test_merge_conserves_and_bounds_merge_count():
             merged.cluster_sizes().min() >= cfg.min_cluster_total
             or merged.n_clusters == min_clusters
         )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([1, 16, 768]),
+    st.lists(st.integers(0, 5), min_size=2, max_size=12),
+    st.integers(1, 12),
+    st.integers(0, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_merge_matches_the_per_pair_reference(dim, sizes, min_clusters, min_total, seed):
+    """Tied sizes and empty clusters; the first smallest cluster sits at
+    the origin and the others on a few permutations of one vector, so its
+    neighbours are duplicates or equidistant, and their distances differ in
+    the last bit when the squares are summed in another order.  The
+    vectorised merge folds the same clusters as the per-pair loop and gives
+    the same bits."""
+    # a seeded generator, not hypothesis' randoms, which favour zeros
+    rnd = random.Random(seed)
+    k = len(sizes)
+    assignment = [j for j, size in enumerate(sizes) for _ in range(size)]
+    if len(assignment) < 2:
+        assignment += [0, k - 1]
+    rnd.shuffle(assignment)
+    n = len(assignment)
+    base = [rnd.choice((0.0, 0.1, 0.3, -0.7, 1.0)) for _ in range(dim)]
+    pool = [rnd.sample(base, dim) for _ in range(rnd.randint(1, k))]
+    centroids = [rnd.choice(pool) for _ in range(k)]
+    centroids[sizes.index(min(sizes))] = [0.0] * dim
+    model = manual_model(centroids, assignment)
+    d = make_dataset(
+        [[rnd.uniform(-2, 2) for _ in range(dim)] for _ in range(n)],
+        ["a", "b"] * (n // 2) + ["a"] * (n % 2),
+        [0] * n,
+        [0] * n,
+    )
+    cfg = LoganConfig(k=k, min_clusters=min(min_clusters, k), min_cluster_total=min_total)
+    merged = merge_small_clusters(model, d, cfg)
+    expected = reference_merge_small_clusters(model, d, cfg)
+    if expected is model:
+        assert merged is model
+    assert merged.assignment.tobytes() == expected.assignment.tobytes()
+    assert merged.centroids.tobytes() == expected.centroids.tobytes()
+    assert merged.centroids.shape == expected.centroids.shape
 
 
 # ------------------------------------------------------------------- reports

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 
 import logan
-from logan import selection
+from logan import clustering, selection
 from logan.cli import main, run_detect
+from logan.clustering import kmeans_fit, kmeanspp_init
 from logan.data import LoganConfig
 from logan.io import write_jsonl
+from logan.postprocess import merge_small_clusters
 from logan.selection import grid_search
 from logan.synthetic import PlantedBiasSpec, generate
 
@@ -89,6 +91,32 @@ def planted_file(tmp_path_factory):
     return path
 
 
+def assert_same_model(a, b):
+    assert a.assignment.tobytes() == b.assignment.tobytes()
+    assert a.centroids.tobytes() == b.centroids.tobytes()
+    assert repr(a.objective_trace) == repr(b.objective_trace)
+    assert (a.converged, a.iterations_run) == (b.converged, b.iterations_run)
+
+
+def assert_same_cell(a, b):
+    assert repr(a.lam) == repr(b.lam)
+    assert_same_model(a.model, b.model)
+    assert repr(a.reports) == repr(b.reports)
+    assert (a.biased_count, repr(a.max_gap)) == (b.biased_count, repr(b.max_gap))
+
+
+def in_worker_only(fit):
+    """Wrap a fit so that calling it in this process fails."""
+    caller = os.getpid()
+
+    def wrapped(*args):
+        if os.getpid() == caller:
+            raise AssertionError("a cell ran in the calling process")
+        return fit(*args)
+
+    return wrapped
+
+
 def test_pool_gives_the_in_process_result(monkeypatch):
     """A grid longer than the worker count, with a repeated weight."""
     d = generate(PlantedBiasSpec(n_per_component=80, seed=3))
@@ -96,16 +124,6 @@ def test_pool_gives_the_in_process_result(monkeypatch):
     grid = [5.0, 0.0, 100.0, 5.0, 1.0]
     force_workers(monkeypatch, 1)
     serial = grid_search(d, cfg, grid)
-
-    caller = os.getpid()
-
-    def in_worker_only(fit):
-        def wrapped(*args):
-            if os.getpid() == caller:
-                raise AssertionError("a cell ran in the calling process")
-            return fit(*args)
-
-        return wrapped
 
     patch_fit(monkeypatch, in_worker_only)
     force_workers(monkeypatch, 2)
@@ -115,15 +133,68 @@ def test_pool_gives_the_in_process_result(monkeypatch):
     assert pooled.chosen_lambda == serial.chosen_lambda
     assert pooled.cells.index(pooled.chosen) == serial.cells.index(serial.chosen)
     for a, b in zip(serial.cells, pooled.cells):
-        assert a.model.assignment.tobytes() == b.model.assignment.tobytes()
-        assert a.model.centroids.tobytes() == b.model.centroids.tobytes()
-        assert repr(a.model.objective_trace) == repr(b.model.objective_trace)
-        assert (a.model.converged, a.model.iterations_run) == (
-            b.model.converged,
-            b.model.iterations_run,
-        )
-        assert repr(a.reports) == repr(b.reports)
-        assert (a.biased_count, repr(a.max_gap)) == (b.biased_count, repr(b.max_gap))
+        assert_same_cell(a, b)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_baseline_cell_is_the_merged_kmeans_fit(monkeypatch, workers):
+    d = generate(PlantedBiasSpec(n_per_component=80, seed=3))
+    cfg = LoganConfig(k=8, min_clusters=5, seed=11)
+    seeds = kmeanspp_init(d, cfg.k, cfg.seed)
+    grid = [1.0, 5.0, 100.0]
+    force_workers(monkeypatch, workers)
+    result = grid_search(d, cfg, grid, initial_centroids=seeds)
+    assert_same_model(
+        result.baseline.model, merge_small_clusters(kmeans_fit(d, cfg, seeds), d, cfg)
+    )
+    assert result.baseline.lam == 0.0
+    assert [c.lam for c in result.cells] == grid
+    for lam, cell in zip(grid, result.cells):
+        assert_same_cell(cell, selection._fit_cell(d, cfg, seeds, lam))
+
+
+def test_each_distinct_weight_is_fitted_once(monkeypatch):
+    """A grid holding 0, -0 and a repeated weight: both zeros reuse the
+    baseline cell, -0 keeps its sign, and the cells and choice are those of
+    fitting every entry."""
+    d = generate(PlantedBiasSpec(n_per_component=80, seed=3))
+    cfg = LoganConfig(k=8, min_clusters=5, seed=11)
+    grid = [5.0, 0.0, 100.0, 5.0, -0.0, 1.0]
+    every_entry = [selection._fit_cell(d, cfg, None, lam) for lam in grid]
+    fitted = []
+
+    def counting(fit):
+        def wrapped(dataset, cfg, initial_centroids):
+            fitted.append(cfg.lam)
+            return fit(dataset, cfg, initial_centroids)
+
+        return wrapped
+
+    force_workers(monkeypatch, 1)
+    patch_fit(monkeypatch, counting)
+    result = grid_search(d, cfg, grid)
+    assert fitted == [0.0, 5.0, 100.0, 1.0]
+    assert result.cells[1].model is result.cells[4].model is result.baseline.model
+    for a, b in zip(every_entry, result.cells):
+        assert_same_cell(a, b)
+    best = max(every_entry, key=lambda c: (c.biased_count, c.max_gap, -c.lam))
+    assert result.cells.index(result.chosen) == every_entry.index(best)
+
+
+def test_detect_fits_nothing_in_the_calling_process(monkeypatch, planted_file):
+    """With a pool, k-means++ is the caller's only clustering step: the
+    baseline and every cell are fitted in workers, to the serial report."""
+    cfg = LoganConfig(seed=0)
+    grid = [1.0, 5.0, 10.0, 100.0]
+    force_workers(monkeypatch, 1)
+    serial = run_detect(planted_file, cfg, grid, None).to_dict()
+    force_workers(monkeypatch, 2)
+    patch_fit(monkeypatch, in_worker_only)
+    monkeypatch.setattr(clustering, "logan_fit", in_worker_only(clustering.logan_fit))
+    pooled = run_detect(planted_file, cfg, grid, None).to_dict()
+    for report in (serial, pooled):
+        report["provenance"].pop("created_at")
+    assert repr(pooled) == repr(serial)
 
 
 def failing_at(*lams):
@@ -157,6 +228,20 @@ def test_failing_cell_is_one_error_line_from_the_cli(monkeypatch, planted_file, 
     assert code == 1
     assert not out.exists()
     assert capsys.readouterr().err == "error: cell lam=10.0 failed\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_baseline_is_the_error_detect_prints(
+    monkeypatch, planted_file, tmp_path, capsys, workers
+):
+    force_workers(monkeypatch, workers)
+    patch_fit(monkeypatch, failing_at(5.0, 0.0))
+    out = tmp_path / "report.json"
+    code = main(["detect", "--input", str(planted_file), "--output", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: cell lam=0.0 failed\n"
+    assert multiprocessing.active_children() == []
 
 
 _DYING_CELL = """
