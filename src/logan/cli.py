@@ -3,7 +3,7 @@
 Subcommands:
   detect        full audit: k-means baseline, weight grid search, merged
                 cluster reports, comparison, JSON report
-  baseline      k-means-only audit (no bias-seeking weight)
+  baseline      k-means-only audit: the grid's weight-0 cell alone
   synth         write a planted-bias synthetic dataset
   random-split  print the random-split gap baseline for a dataset
 
@@ -20,8 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, NoReturn, Sequence
 
-from . import __version__, clustering
-from .clustering import kmeans_fit
+from . import __version__
 from .data import LoganConfig, ValidationError, standardize_features
 from .io import (
     AuditReport,
@@ -35,7 +34,7 @@ from .io import (
     write_jsonl,
 )
 from .metrics import MetricKind, global_bias, random_split_baseline
-from .postprocess import cluster_reports, compare, merge_small_clusters
+from .postprocess import cluster_reports, compare
 from .selection import grid_search
 from .synthetic import PlantedBiasSpec, generate
 
@@ -86,7 +85,9 @@ def run_detect(
 
     With a lambda grid this is the full bias-seeking audit (grid search
     against a k-means baseline); with ``lambdas=None`` it audits the plain
-    k-means clustering only.
+    k-means clustering only, the grid's weight-0 cell on its own.  The
+    chosen cell's reports are built once, for the report and the
+    comparison alike.
     """
     dataset = load_dataset(input_path, fmt)
     if cfg.standardize:
@@ -96,34 +97,26 @@ def run_detect(
         kind.value: gap_result_to_dict(global_bias(dataset, kind)) for kind in metrics
     }
 
-    # k-means and every grid cell start from the same seeds
-    seeds = clustering.kmeanspp_init(dataset, cfg.k, cfg.seed)
-    if lambdas is not None:
-        # the grid fits the k-means baseline as its weight-0 cell
-        grid = grid_search(dataset, cfg, lambdas, initial_centroids=seeds)
-        audited_model = grid.chosen.model
-        chosen_lambda: float | None = grid.chosen_lambda
-        comparison = comparison_to_dict(
-            compare(audited_model, grid.baseline.model, dataset, grid.chosen.reports)
-        )
-    else:
-        audited_model = merge_small_clusters(kmeans_fit(dataset, cfg, seeds), dataset, cfg)
-        chosen_lambda = None
-        comparison = None
-
+    # the weight-0 cell is the k-means baseline; baseline mode audits it alone
+    grid = grid_search(dataset, cfg, [0.0] if lambdas is None else lambdas)
     has_text = all(text is not None for text in dataset.texts)
     reports = cluster_reports(
-        audited_model,
+        grid.chosen.model,
         dataset,
         cfg,
         kinds=tuple(metrics),
         top_tokens=_TOP_TOKENS if has_text else 0,
     )
+    comparison = None
+    if lambdas is not None:
+        comparison = comparison_to_dict(
+            compare(grid.chosen.model, grid.baseline.model, dataset, reports)
+        )
 
     config_echo: dict[str, Any] = cfg.to_dict()
     config_echo.pop("lam", None)
     config_echo["lambdas"] = list(lambdas) if lambdas is not None else None
-    config_echo["chosen_lambda"] = chosen_lambda
+    config_echo["chosen_lambda"] = grid.chosen_lambda if lambdas is not None else None
     config_echo["metrics"] = [m.value for m in metrics]
     config_echo["groups"] = list(dataset.groups)
     config_echo["mode"] = "detect" if lambdas is not None else "baseline"

@@ -1,10 +1,13 @@
 """Grid search over the bias-loss weight, with the k-means baseline.
 
 Each candidate weight runs the full fit -> merge -> report pipeline from
-the same seed, so the weight is the only varying factor.  The winner is the
-weight whose clustering exposes the most biased clusters; ties go to the
-larger maximum gap, then to the smaller weight.  The rule is order-free, so
-permuting the grid cannot change the choice.
+the same k-means++ seeds, drawn once, so the weight is the only varying
+factor.  A cell keeps its merged model and the two numbers the choice
+reads; a caller that reports on a cell builds its ``cluster_reports``
+from the model.  The winner is the weight whose clustering exposes the
+most biased clusters; ties go to the larger maximum gap, then to the
+smaller weight.  The rule is order-free, so permuting the grid cannot
+change the choice.
 
 The k-means baseline every cell is compared against is the same pipeline
 at weight 0 (``kmeans_fit`` is ``logan_fit`` with the weight off), so it is
@@ -33,9 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import clustering
 from .clustering import ClusterModel, logan_fit
 from .data import Dataset, LoganConfig
-from .postprocess import ClusterReport, cluster_reports, merge_small_clusters
+from .postprocess import cluster_reports, merge_small_clusters
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,6 @@ class GridCell:
 
     lam: float
     model: ClusterModel
-    reports: tuple[ClusterReport, ...]
     biased_count: int
     max_gap: float
 
@@ -71,21 +74,24 @@ def grid_search(
 ) -> GridResult:
     """Fit, merge and report once per candidate weight; pick the best.
 
-    Every fit starts from ``initial_centroids``, or from the k-means++
-    seeds of ``cfg.seed`` when they are not given.  ``max_gap`` per cell is
-    the largest accuracy gap over detectable clusters (0 when none is
-    detectable).  The k-means baseline is fitted too, as the weight-0 cell,
-    and each distinct weight only once.  The cells run in forked worker
-    processes (see the module docstring); an exception raised by a cell is
-    raised here, that of the baseline first and then of the first failing
-    cell in grid order, and a worker that dies raises
-    ``concurrent.futures.process.BrokenProcessPool``, a ``RuntimeError``.
+    Every fit starts from ``initial_centroids``, or, when they are not
+    given, from the k-means++ seeds of ``cfg.seed``, drawn once here.
+    ``max_gap`` per cell is the largest accuracy gap over detectable
+    clusters (0 when none is detectable).  The k-means baseline is fitted
+    too, as the weight-0 cell, and each distinct weight only once.  The
+    cells run in forked worker processes (see the module docstring); an
+    exception raised by a cell is raised here, that of the baseline first
+    and then of the first failing cell in grid order, and a worker that
+    dies raises ``concurrent.futures.process.BrokenProcessPool``, a
+    ``RuntimeError``.
     """
     if len(lambdas) == 0:
         raise ValueError("lambda grid must be nonempty")
     if any(lam < 0 for lam in lambdas):
         raise ValueError("lambda values must be >= 0")
     grid = [float(lam) for lam in lambdas]
+    if initial_centroids is None:
+        initial_centroids = clustering.kmeanspp_init(dataset, cfg.k, cfg.seed)
     # the baseline first, so it is fitted (and fails) first
     weights = list(dict.fromkeys([0.0, *grid]))
     workers = _worker_count(len(weights))
@@ -133,7 +139,6 @@ def _fit_cell(
     return GridCell(
         lam=float(lam),
         model=model,
-        reports=tuple(reports),
         biased_count=sum(1 for r in reports if r.biased),
         max_gap=max(gaps, default=0.0),
     )

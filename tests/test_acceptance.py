@@ -152,7 +152,9 @@ def test_criterion_6_hidden_bias_discovery():
         chosen = grid_search(dataset, cfg, grid).chosen
         if chosen.max_gap >= 0.25:
             hits += 1
-        versus = compare(chosen.model, baseline, dataset, chosen.reports)
+        versus = compare(
+            chosen.model, baseline, dataset, cluster_reports(chosen.model, dataset, cfg)
+        )
         assert versus.inertia_ratio is not None and versus.inertia_ratio <= 1.05
         bcr_logan.append(versus.bcr)
         baseline_reports = cluster_reports(baseline, dataset, cfg)

@@ -399,7 +399,6 @@ def test_auc_without_a_score_fails_before_any_fit(tmp_path, capsys, monkeypatch,
         raise RuntimeError("a fit ran")
 
     monkeypatch.setattr(logan.clustering, "kmeanspp_init", no_fit)
-    monkeypatch.setattr(logan.cli, "kmeans_fit", no_fit)
     monkeypatch.setattr(logan.cli, "grid_search", no_fit)
     out = tmp_path / "report.json"
     code = main([command, "--input", str(path), "--output", str(out), "--metrics", "auc"])
@@ -546,6 +545,7 @@ def _text_rows(n=240, seed=3):
 PINNED_REPORTS = {
     "detect": "ffbb6a5af37dec7b9a6f94b32a5504bb157c4adaee93caa64f39f18bc73e3240",
     "baseline": "d321265830789d9b870b8d1ee520e300c6d1f1935bd07ffa62731d602ad3b6e8",
+    "detect-text": "062c6733304ec1d27676cfb634b4181039d25a582f934b7afa0ed4d2a7e42bfa",
 }
 
 
@@ -557,7 +557,8 @@ def test_report_bytes_pinned(tmp_path, mode):
         args = ["detect"]
     else:
         write_lines(path, [json.dumps(row) for row in _text_rows()])
-        args = ["baseline", "--standardize", "--metrics", "accuracy,auc,fpr"]
+        command = "detect" if mode == "detect-text" else "baseline"
+        args = [command, "--standardize", "--metrics", "accuracy,auc,fpr"]
     out = tmp_path / "report.json"
     assert main([*args, "--input", str(path), "--output", str(out)]) in (0, 2)
     report = json.loads(out.read_text(encoding="utf-8"))

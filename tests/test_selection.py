@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 
 import logan
-from logan import clustering, selection
+from logan import cli, clustering, selection
 from logan.cli import main, run_detect
 from logan.clustering import kmeans_fit, kmeanspp_init
 from logan.data import LoganConfig
 from logan.io import write_jsonl
-from logan.postprocess import merge_small_clusters
+from logan.postprocess import cluster_reports, compare, merge_small_clusters
 from logan.selection import grid_search
 from logan.synthetic import PlantedBiasSpec, generate
 
@@ -98,10 +98,12 @@ def assert_same_model(a, b):
     assert (a.converged, a.iterations_run) == (b.converged, b.iterations_run)
 
 
-def assert_same_cell(a, b):
+def assert_same_cell(a, b, dataset, cfg):
     assert repr(a.lam) == repr(b.lam)
     assert_same_model(a.model, b.model)
-    assert repr(a.reports) == repr(b.reports)
+    assert repr(cluster_reports(a.model, dataset, cfg)) == repr(
+        cluster_reports(b.model, dataset, cfg)
+    )
     assert (a.biased_count, repr(a.max_gap)) == (b.biased_count, repr(b.max_gap))
 
 
@@ -133,7 +135,7 @@ def test_pool_gives_the_in_process_result(monkeypatch):
     assert pooled.chosen_lambda == serial.chosen_lambda
     assert pooled.cells.index(pooled.chosen) == serial.cells.index(serial.chosen)
     for a, b in zip(serial.cells, pooled.cells):
-        assert_same_cell(a, b)
+        assert_same_cell(a, b, d, cfg)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -150,7 +152,7 @@ def test_baseline_cell_is_the_merged_kmeans_fit(monkeypatch, workers):
     assert result.baseline.lam == 0.0
     assert [c.lam for c in result.cells] == grid
     for lam, cell in zip(grid, result.cells):
-        assert_same_cell(cell, selection._fit_cell(d, cfg, seeds, lam))
+        assert_same_cell(cell, selection._fit_cell(d, cfg, seeds, lam), d, cfg)
 
 
 def test_each_distinct_weight_is_fitted_once(monkeypatch):
@@ -176,7 +178,7 @@ def test_each_distinct_weight_is_fitted_once(monkeypatch):
     assert fitted == [0.0, 5.0, 100.0, 1.0]
     assert result.cells[1].model is result.cells[4].model is result.baseline.model
     for a, b in zip(every_entry, result.cells):
-        assert_same_cell(a, b)
+        assert_same_cell(a, b, d, cfg)
     best = max(every_entry, key=lambda c: (c.biased_count, c.max_gap, -c.lam))
     assert result.cells.index(result.chosen) == every_entry.index(best)
 
@@ -195,6 +197,66 @@ def test_detect_fits_nothing_in_the_calling_process(monkeypatch, planted_file):
     for report in (serial, pooled):
         report["provenance"].pop("created_at")
     assert repr(pooled) == repr(serial)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_seeds_are_drawn_once(monkeypatch, workers):
+    """Without initial centroids, the caller draws the k-means++ seeds once
+    and every cell, the baseline too, fits from them."""
+    d = generate(PlantedBiasSpec(n_per_component=80, seed=3))
+    cfg = LoganConfig(k=8, min_clusters=5, seed=11)
+    grid = [1.0, 5.0, 100.0]
+    caller = os.getpid()
+    draw = clustering.kmeanspp_init
+    drawn = []
+
+    def drawing(*args):
+        if os.getpid() != caller:
+            raise AssertionError("a worker drew seeds")
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    force_workers(monkeypatch, workers)
+    monkeypatch.setattr(clustering, "kmeanspp_init", drawing)
+    result = grid_search(d, cfg, grid)
+    assert len(drawn) == 1
+    given = grid_search(d, cfg, grid, initial_centroids=drawn[0])
+    assert len(drawn) == 1
+    for a, b in zip((result.baseline, *result.cells), (given.baseline, *given.cells)):
+        assert_same_cell(a, b, d, cfg)
+
+
+@pytest.mark.parametrize("lambdas", [None, [1.0, 5.0]])
+def test_run_detect_builds_the_chosen_reports_once(monkeypatch, planted_file, lambdas):
+    """One report pass serves the JSON report and, in detect mode, the
+    comparison."""
+    built = []
+    compared = []
+
+    def building(*args, **kwargs):
+        built.append(cluster_reports(*args, **kwargs))
+        return built[-1]
+
+    def comparing(candidate, baseline, dataset, reports):
+        compared.append(reports)
+        return compare(candidate, baseline, dataset, reports)
+
+    force_workers(monkeypatch, 1)
+    monkeypatch.setattr(cli, "cluster_reports", building)
+    monkeypatch.setattr(cli, "compare", comparing)
+    report = run_detect(planted_file, LoganConfig(seed=0), lambdas, None)
+    assert len(built) == 1
+    if lambdas is None:
+        assert compared == []
+        assert report.comparison is None
+    else:
+        assert len(compared) == 1
+        assert compared[0] is built[0]
+
+
+def test_run_detect_rejects_an_empty_grid(planted_file):
+    with pytest.raises(ValueError, match="^lambda grid must be nonempty$"):
+        run_detect(planted_file, LoganConfig(seed=0), [], None)
 
 
 def failing_at(*lams):
