@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, NoReturn, Sequence
@@ -114,7 +115,6 @@ def run_detect(
         )
 
     config_echo: dict[str, Any] = cfg.to_dict()
-    config_echo.pop("lam", None)
     config_echo["lambdas"] = list(lambdas) if lambdas is not None else None
     config_echo["chosen_lambda"] = grid.chosen_lambda if lambdas is not None else None
     config_echo["metrics"] = [m.value for m in metrics]
@@ -228,16 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> LoganConfig:
-    return LoganConfig(
-        k=args.k,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        min_cluster_total=args.min_cluster_total,
-        min_clusters=args.min_clusters,
-        min_per_group=args.min_per_group,
-        bias_threshold=args.bias_threshold,
-        standardize=args.standardize,
-    )
+    # every config field is the flag of the same name
+    return LoganConfig(**{f.name: getattr(args, f.name) for f in fields(LoganConfig)})
 
 
 def _cmd_audit(args: argparse.Namespace, with_lambdas: bool) -> int:

@@ -88,12 +88,12 @@ change outside the delta rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, LoganConfig
+from .data import Dataset, LoganConfig, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,6 +409,7 @@ def _fit_core(
     dataset: Dataset,
     centroids: np.ndarray,
     cfg: LoganConfig,
+    lam: float,
     sweep_order: Sequence[int] | None = None,
 ) -> ClusterModel:
     """Alternate assignment sweeps and centroid updates from a given seed
@@ -418,7 +419,6 @@ def _fit_core(
     cols = np.ascontiguousarray(X.T)
     n = len(X)
     k = len(centroids)
-    lam = cfg.lam
     kinds = 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
     order = np.arange(n) if sweep_order is None else np.asarray(sweep_order, np.intp)
 
@@ -507,17 +507,25 @@ def _fit_core(
     )
 
 
+def check_lam(lam: float) -> None:
+    """Raise ``ValidationError`` unless the bias weight is finite and >= 0."""
+    if not math.isfinite(lam) or lam < 0:
+        raise ValidationError(f"lam must be finite and >= 0, got {lam}")
+
+
 def logan_fit(
     dataset: Dataset,
     cfg: LoganConfig,
+    lam: float,
     initial_centroids: np.ndarray | None = None,
 ) -> ClusterModel:
-    """Fit the joint clustering / bias objective on a dataset.
+    """Fit the joint clustering / bias objective at bias weight ``lam``.
 
     Initialization is k-means++ from ``cfg.seed`` unless explicit
     ``initial_centroids`` are given.  The run is fully deterministic for a
-    given (dataset, config, init).
+    given (dataset, config, lam, init).  ``lam`` must pass ``check_lam``.
     """
+    check_lam(lam)
     if initial_centroids is None:
         centroids = kmeanspp_init(dataset, cfg.k, cfg.seed)
     else:
@@ -530,7 +538,7 @@ def logan_fit(
             raise ValueError(
                 f"k={len(centroids)} exceeds the number of instances ({dataset.n})"
             )
-    return _fit_core(dataset, centroids, cfg)
+    return _fit_core(dataset, centroids, cfg, lam)
 
 
 def kmeans_fit(
@@ -539,5 +547,5 @@ def kmeans_fit(
     initial_centroids: np.ndarray | None = None,
 ) -> ClusterModel:
     """Plain k-means baseline: the same solver with the bias weight off."""
-    return logan_fit(dataset, replace(cfg, lam=0.0), initial_centroids)
+    return logan_fit(dataset, cfg, 0.0, initial_centroids)
 

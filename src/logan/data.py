@@ -71,15 +71,13 @@ class Dataset:
 class LoganConfig:
     """Knobs for the full detection pipeline.
 
-    ``lam`` weights the bias-gap reward against the raw k-means inertia, so
-    its useful range depends on the feature scale; ``standardize`` z-scores
-    the features before clustering.  ``min_cluster_total`` /
-    ``min_clusters`` drive small-cluster merging; ``min_per_group`` and
-    ``bias_threshold`` gate which clusters may be flagged as biased.
+    ``standardize`` z-scores the features before clustering.
+    ``min_cluster_total`` / ``min_clusters`` drive small-cluster merging;
+    ``min_per_group`` and ``bias_threshold`` gate which clusters may be
+    flagged as biased.  The bias weight is an argument of each fit.
     """
 
     k: int = 10
-    lam: float = 1.0
     max_iter: int = 100
     seed: int = 0
     min_cluster_total: int = 20
@@ -95,8 +93,6 @@ class LoganConfig:
             raise ValidationError(
                 f"k ({self.k}) must be >= min_clusters ({self.min_clusters})"
             )
-        if not math.isfinite(self.lam) or self.lam < 0:
-            raise ValidationError(f"lam must be finite and >= 0, got {self.lam}")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.seed < 0:

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .data import Dataset, DatasetBuilder, ValidationError
 from .metrics import GapResult
@@ -40,11 +40,30 @@ def _add_row(builder: DatasetBuilder, row: dict[str, Any], line_no: int) -> None
         raise LoadError(str(exc), line_no) from exc
 
 
+# Read with errors="surrogateescape", each byte that is not UTF-8 becomes
+# one lone surrogate in U+DC80..U+DCFF, which decoded UTF-8 never holds.
+# The file then splits into lines exactly as a strict read would (universal
+# newlines included), and each line is checked on its own.
+_UNDECODED_RE = re.compile("[\udc80-\udcff]")
+
+
+def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
+    """Yield the lines of a file opened with errors="surrogateescape";
+    raise LoadError naming the first line that is not valid UTF-8."""
+    for line_no, line in enumerate(lines, start=1):
+        if not line.isascii():
+            bad = _UNDECODED_RE.search(line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                raise LoadError(f"byte 0x{byte:02x} is not valid UTF-8", line_no)
+        yield line
+
+
 def load_jsonl(path: str | Path) -> Dataset:
     """Load a dataset from a JSONL file; errors name the offending line."""
     builder = DatasetBuilder()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(_utf8_lines(fh), start=1):
             stripped = line.strip()
             if not stripped:
                 continue
@@ -74,13 +93,21 @@ def load_csv(path: str | Path) -> Dataset:
     """Load a dataset from CSV with features in columns ``f0..f{d-1}``.
 
     Cells are parsed to the JSONL types where they can be; the row
-    validator rejects the rest, and errors name the offending line.
+    validator rejects the rest, and errors name the offending line.  A
+    header that repeats a column and a row with more cells than the header
+    are rejected too.
     """
     builder = DatasetBuilder()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.DictReader(_utf8_lines(fh))
         if reader.fieldnames is None:
             raise LoadError("missing header row", 1)
+        width = len(reader.fieldnames)
+        if len(set(reader.fieldnames)) != width:
+            repeated = next(
+                col for i, col in enumerate(reader.fieldnames) if col in reader.fieldnames[:i]
+            )
+            raise LoadError(f"column {repeated!r} repeats in the header", 1)
         feature_cols: dict[int, str] = {}
         for col in reader.fieldnames:
             match = _FEATURE_COL_RE.match(col)
@@ -95,6 +122,12 @@ def load_csv(path: str | Path) -> Dataset:
             if key not in reader.fieldnames:
                 raise LoadError(f"missing required column {key!r}", 1)
         for record in reader:
+            extra = record.get(None)  # DictReader files surplus cells here
+            if extra is not None:
+                raise LoadError(
+                    f"row has {width + len(extra)} cells, but the header has {width}",
+                    reader.line_num,
+                )
             obj: dict[str, Any] = {
                 "id": record.get("id") or "",
                 "features": [_parse_number(record[feature_cols[i]] or "") for i in range(dim)],

@@ -143,12 +143,15 @@ def random_split_baseline(
     from sampling noise alone, which is what a bias threshold has to beat.
 
     Runs where the gap is undefined are skipped; if every run is undefined
-    the result is (nan, nan).
+    the result is (nan, nan).  For AUC, a row without a score raises
+    ValueError naming the first such row in file order, before any run.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if kind is MetricKind.SUBGROUP_AUC:
+        _require_scores(dataset, np.arange(dataset.n))
     rng = np.random.default_rng(seed)
     n1, _ = dataset.group_sizes()
     gaps = []

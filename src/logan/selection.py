@@ -1,13 +1,13 @@
 """Grid search over the bias-loss weight, with the k-means baseline.
 
 Each candidate weight runs the full fit -> merge -> report pipeline from
-the same k-means++ seeds, drawn once, so the weight is the only varying
-factor.  A cell keeps its merged model and the two numbers the choice
-reads; a caller that reports on a cell builds its ``cluster_reports``
-from the model.  The winner is the weight whose clustering exposes the
-most biased clusters; ties go to the larger maximum gap, then to the
-smaller weight.  The rule is order-free, so permuting the grid cannot
-change the choice.
+the same k-means++ seeds, drawn once, and the same config; the weight is
+an argument of the fit and the only varying factor.  A cell keeps its
+merged model and the two numbers the choice reads; a caller that reports
+on a cell builds its ``cluster_reports`` from the model.  The winner is
+the weight whose clustering exposes the most biased clusters; ties go to
+the larger maximum gap, then to the smaller weight.  The rule is
+order-free, so permuting the grid cannot change the choice.
 
 The k-means baseline every cell is compared against is the same pipeline
 at weight 0 (``kmeans_fit`` is ``logan_fit`` with the weight off), so it is
@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import clustering
-from .clustering import ClusterModel, logan_fit
+from .clustering import ClusterModel, check_lam, logan_fit
 from .data import Dataset, LoganConfig
 from .postprocess import cluster_reports, merge_small_clusters
 
@@ -83,13 +83,13 @@ def grid_search(
     exception raised by a cell is raised here, that of the baseline first
     and then of the first failing cell in grid order, and a worker that
     dies raises ``concurrent.futures.process.BrokenProcessPool``, a
-    ``RuntimeError``.
+    ``RuntimeError``.  Every weight passes ``check_lam`` before any fit.
     """
     if len(lambdas) == 0:
         raise ValueError("lambda grid must be nonempty")
-    if any(lam < 0 for lam in lambdas):
-        raise ValueError("lambda values must be >= 0")
     grid = [float(lam) for lam in lambdas]
+    for lam in grid:  # every entry, before any fit
+        check_lam(lam)
     if initial_centroids is None:
         initial_centroids = clustering.kmeanspp_init(dataset, cfg.k, cfg.seed)
     # the baseline first, so it is fitted (and fails) first
@@ -126,18 +126,16 @@ def _fit_cell(
     initial_centroids: np.ndarray | None,
     lam: float,
 ) -> GridCell:
-    cell_cfg = replace(cfg, lam=float(lam))
-    model = merge_small_clusters(
-        logan_fit(dataset, cell_cfg, initial_centroids), dataset, cell_cfg
-    )
-    reports = cluster_reports(model, dataset, cell_cfg)
+    fit = logan_fit(dataset, cfg, lam, initial_centroids)
+    model = merge_small_clusters(fit, dataset, cfg)
+    reports = cluster_reports(model, dataset, cfg)
     gaps = [
         r.accuracy_gap()
         for r in reports
         if r.detectable and r.accuracy_gap() is not None
     ]
     return GridCell(
-        lam=float(lam),
+        lam=lam,
         model=model,
         biased_count=sum(1 for r in reports if r.biased),
         max_gap=max(gaps, default=0.0),

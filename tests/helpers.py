@@ -388,7 +388,7 @@ def _sweep_sequential(
     return moves
 
 
-def best_single_move_delta(dataset: Dataset, model: ClusterModel, cfg: LoganConfig) -> float:
+def best_single_move_delta(dataset: Dataset, model: ClusterModel, lam: float) -> float:
     """Most negative objective delta over all single-instance moves, with
     the model's centroids held fixed, computed for every move at once from
     the sweep's bias table.  A converged fit yields >= 0 (no improving move
@@ -403,7 +403,7 @@ def best_single_move_delta(dataset: Dataset, model: ClusterModel, cfg: LoganConf
     term = stats.gap_terms().tolist()
     table = np.empty((8, k), dtype=np.float64)
     for j in range(k):
-        _set_bias_column(table, j, counts[j], term[j], cfg.lam)
+        _set_bias_column(table, j, counts[j], term[j], lam)
     rows = np.arange(len(own))
     delta = dist - dist[rows, own][:, None]
     delta += table[kinds, own][:, None]
@@ -412,13 +412,12 @@ def best_single_move_delta(dataset: Dataset, model: ClusterModel, cfg: LoganConf
     return min(0.0, float(delta.min()))
 
 
-def reference_best_single_move_delta(dataset: Dataset, model, cfg) -> float:
+def reference_best_single_move_delta(dataset: Dataset, model, lam: float) -> float:
     """One-instance-at-a-time reference for ``best_single_move_delta``:
     the most negative objective delta over all single moves, or 0."""
     stats = ClusterStats.from_assignment(dataset, model.assignment, model.centroids)
     n = dataset.n
     k = model.n_clusters
-    lam = cfg.lam
     g = dataset.group_codes
     w = dataset.correct_flags
     dist_mat = cdist(dataset.feature_matrix, model.centroids, "sqeuclidean")
@@ -521,6 +520,7 @@ def reference_logan_fit(
     dataset: Dataset,
     seeds: np.ndarray,
     cfg: LoganConfig,
+    lam: float,
     order: Sequence[int] | None = None,
 ):
     """``logan_fit`` for lam > 0 as the one-instance-at-a-time loop: every
@@ -537,7 +537,6 @@ def reference_logan_fit(
     X = dataset.feature_matrix
     cols = np.ascontiguousarray(X.T)
     n = len(X)
-    lam = cfg.lam
     g = dataset.group_codes.tolist()
     w = dataset.correct_flags.tolist()
     order = range(n) if order is None else [int(i) for i in order]

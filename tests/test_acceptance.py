@@ -33,9 +33,9 @@ def test_criterion_1_lambda_zero_reduction():
     dataset = random_dataset(rng, 1000, dim=8, n_blobs=6)
     started = time.monotonic()
     for seed in range(20):
-        cfg = LoganConfig(k=10, lam=0.0, seed=seed)
-        a = logan_fit(dataset, cfg)
-        b = kmeans_fit(dataset, LoganConfig(k=10, lam=50.0, seed=seed))
+        cfg = LoganConfig(k=10, seed=seed)
+        a = logan_fit(dataset, cfg, 0.0)
+        b = kmeans_fit(dataset, cfg)
         assert np.array_equal(a.assignment, b.assignment)
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
@@ -50,20 +50,18 @@ def _random_run_grid(n_runs: int):
         dim = int(rng.choice([2, 4, 8]))
         k = int(rng.integers(3, 9))
         dataset = random_dataset(rng, n, dim=dim, n_blobs=int(rng.integers(2, 5)))
-        cfg = LoganConfig(
-            k=k, lam=lams[trial % 4], seed=trial, min_clusters=min(k, 5)
-        )
-        yield dataset, cfg
+        cfg = LoganConfig(k=k, seed=trial, min_clusters=min(k, 5))
+        yield dataset, cfg, lams[trial % 4]
 
 
 def test_criterion_2_monotone_descent():
     runs = 0
-    for dataset, cfg in _random_run_grid(100):
-        model = logan_fit(dataset, cfg)
+    for dataset, cfg, lam in _random_run_grid(100):
+        model = logan_fit(dataset, cfg, lam)
         totals = [step[2] for step in model.objective_trace]
         for earlier, later in zip(totals, totals[1:]):
             assert later <= earlier + 1e-9 * abs(earlier), (
-                f"objective rose: {earlier} -> {later} (lam={cfg.lam}, seed={cfg.seed})"
+                f"objective rose: {earlier} -> {later} (lam={lam}, seed={cfg.seed})"
             )
         runs += 1
     assert runs == 100
@@ -72,13 +70,13 @@ def test_criterion_2_monotone_descent():
 
 def test_criterion_3_local_minimum_certificate():
     checked = 0
-    for dataset, cfg in _random_run_grid(80):
+    for dataset, cfg, lam in _random_run_grid(80):
         if checked == 50:
             break
-        model = logan_fit(dataset, cfg)
+        model = logan_fit(dataset, cfg, lam)
         if not model.converged:
             continue
-        assert best_single_move_delta(dataset, model, cfg) >= -1e-9
+        assert best_single_move_delta(dataset, model, lam) >= -1e-9
         checked += 1
     assert checked == 50
     _pass(3, "no improving single-point move in 50 converged runs")
@@ -91,15 +89,15 @@ def test_criterion_4_oracle_bound():
         n = int(rng.integers(6, 11))
         dataset = random_dataset(rng, n, dim=2, n_blobs=2)
         lam = 0.0 if trial % 2 == 0 else 10.0
-        cfg = LoganConfig(k=2, lam=lam, seed=trial, min_clusters=2)
-        model = logan_fit(dataset, cfg)
+        cfg = LoganConfig(k=2, seed=trial, min_clusters=2)
+        model = logan_fit(dataset, cfg, lam)
         oracle_total, _ = brute_force_objective(dataset, k=2, lam=lam)
         assert oracle_total <= model.objective_trace[-1][2] + 1e-9
         if lam == 0.0:
             finals = []
             for restart in range(10):
                 restarted = logan_fit(
-                    dataset, LoganConfig(k=2, lam=0.0, seed=restart, min_clusters=2)
+                    dataset, LoganConfig(k=2, seed=restart, min_clusters=2), 0.0
                 )
                 finals.append(restarted.objective_trace[-1][2])
             tolerance = 1e-9 * max(1.0, abs(oracle_total))

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from logan.clustering import (
     kmeanspp_init,
     logan_fit,
 )
-from logan.data import LoganConfig, build_dataset
+from logan.data import LoganConfig, ValidationError, build_dataset
 from logan.synthetic import brute_force_objective
 
 from helpers import (
@@ -36,9 +35,9 @@ from helpers import (
 )
 
 
-def cfg_for(k, lam=0.0, seed=0, **kw):
+def cfg_for(k, seed=0, **kw):
     kw.setdefault("min_clusters", min(k, 5))
-    return LoganConfig(k=k, lam=lam, seed=seed, **kw)
+    return LoganConfig(k=k, seed=seed, **kw)
 
 
 # ---------------------------------------------------------------- k-means++
@@ -121,9 +120,9 @@ def test_objective_single_group_clusters_contribute_zero():
 def test_lambda_zero_matches_kmeans_exactly():
     rng = np.random.default_rng(8)
     d = random_dataset(rng, 200, dim=3, n_blobs=4)
-    cfg = cfg_for(5, lam=0.0, seed=17)
-    a = logan_fit(d, cfg)
-    b = kmeans_fit(d, LoganConfig(k=5, lam=99.0, seed=17, min_clusters=5))
+    cfg = cfg_for(5, seed=17)
+    a = logan_fit(d, cfg, 0.0)
+    b = kmeans_fit(d, LoganConfig(k=5, seed=17, min_clusters=5))
     assert np.array_equal(a.assignment, b.assignment)
     assert a.centroids.tobytes() == b.centroids.tobytes()
 
@@ -154,9 +153,9 @@ def test_kmeans_inertia_never_increases():
 def test_fit_deterministic_same_seed():
     rng = np.random.default_rng(2)
     d = random_dataset(rng, 120, dim=3)
-    cfg = cfg_for(5, lam=10.0, seed=77)
-    a = logan_fit(d, cfg)
-    b = logan_fit(d, cfg)
+    cfg = cfg_for(5, seed=77)
+    a = logan_fit(d, cfg, 10.0)
+    b = logan_fit(d, cfg, 10.0)
     assert a.centroids.tobytes() == b.centroids.tobytes()
     assert np.array_equal(a.assignment, b.assignment)
     assert a.objective_trace == b.objective_trace
@@ -170,7 +169,7 @@ def test_trace_monotone_and_bias_loss_bounded():
         lam = [0.0, 1.0, 10.0, 100.0][trial % 4]
         d = random_dataset(rng, int(rng.integers(40, 140)), dim=2)
         k = int(rng.integers(2, 7))
-        model = logan_fit(d, cfg_for(k, lam=lam, seed=trial))
+        model = logan_fit(d, cfg_for(k, seed=trial), lam)
         totals = [step[2] for step in model.objective_trace]
         for earlier, later in zip(totals, totals[1:]):
             assert later <= earlier + 1e-9 * abs(earlier)
@@ -181,7 +180,7 @@ def test_trace_monotone_and_bias_loss_bounded():
 def test_incremental_stats_match_scratch_recompute():
     rng = np.random.default_rng(13)
     d = random_dataset(rng, 160, dim=3)
-    model = logan_fit(d, cfg_for(6, lam=25.0, seed=5))
+    model = logan_fit(d, cfg_for(6, seed=5), 25.0)
     stats = ClusterStats.from_assignment(d, model.assignment, model.centroids)
     means = stats.sums / stats.sizes[:, None]
     assert np.allclose(means, model.centroids, rtol=1e-9, atol=1e-12)
@@ -196,12 +195,11 @@ def test_local_minimum_certificate_on_converged_runs():
     for trial in range(10):
         lam = [0.0, 5.0, 50.0][trial % 3]
         d = random_dataset(rng, 90, dim=2)
-        cfg = cfg_for(4, lam=lam, seed=trial)
-        model = logan_fit(d, cfg)
+        model = logan_fit(d, cfg_for(4, seed=trial), lam)
         if not model.converged:
             continue
         checked += 1
-        assert best_single_move_delta(d, model, cfg) >= -1e-9
+        assert best_single_move_delta(d, model, lam) >= -1e-9
     assert checked >= 5
 
 
@@ -210,8 +208,8 @@ def test_oracle_lower_bound_tiny_instances():
     for trial in range(6):
         d = random_dataset(rng, 8, dim=2, n_blobs=2)
         for lam in (0.0, 10.0):
-            cfg = cfg_for(2, lam=lam, seed=trial, min_clusters=2)
-            model = logan_fit(d, cfg)
+            cfg = cfg_for(2, seed=trial, min_clusters=2)
+            model = logan_fit(d, cfg, lam)
             oracle_total, _ = brute_force_objective(d, k=2, lam=lam)
             assert oracle_total <= model.objective_trace[-1][2] + 1e-9
 
@@ -232,7 +230,8 @@ def test_empty_cluster_reseed_duplicate_seeds():
     for lam in (0.0, 1.0):
         model = logan_fit(
             d,
-            cfg_for(2, lam=lam, min_clusters=2),
+            cfg_for(2, min_clusters=2),
+            lam,
             initial_centroids=np.array([[1.0], [1.0]]),
         )
         sizes = model.cluster_sizes()
@@ -294,8 +293,8 @@ def test_permutation_equivariance_with_fixed_init():
     rows = rows_from_arrays(feats, groups, labels, preds)
     d = build_dataset(rows)
     cents = kmeanspp_init(d, 3, seed=1)
-    cfg = cfg_for(3, lam=20.0, min_clusters=3)
-    base = _fit_core(d, cents, cfg)
+    cfg = cfg_for(3, min_clusters=3)
+    base = _fit_core(d, cents, cfg, 20.0)
 
     perm = rng.permutation(30)
     d_perm = build_dataset([rows[i] for i in perm])
@@ -303,7 +302,7 @@ def test_permutation_equivariance_with_fixed_init():
     position = np.empty(30, dtype=int)
     for new_idx, old_idx in enumerate(perm):
         position[old_idx] = new_idx
-    permuted = _fit_core(d_perm, cents, cfg, sweep_order=position.tolist())
+    permuted = _fit_core(d_perm, cents, cfg, 20.0, sweep_order=position.tolist())
     for old_idx in range(30):
         assert permuted.assignment[position[old_idx]] == base.assignment[old_idx]
 
@@ -311,13 +310,22 @@ def test_permutation_equivariance_with_fixed_init():
 def test_k_larger_than_n_rejected():
     d = make_dataset([[0.0], [1.0]], ["a", "b"], [0, 0], [0, 0])
     with pytest.raises(ValueError, match="exceeds"):
-        logan_fit(d, cfg_for(3, min_clusters=1))
+        logan_fit(d, cfg_for(3, min_clusters=1), 0.0)
 
 
 def test_bad_initial_centroid_shape_rejected():
     d = make_dataset([[0.0, 1.0], [1.0, 2.0]], ["a", "b"], [0, 0], [0, 0])
     with pytest.raises(ValueError, match="shape"):
-        logan_fit(d, cfg_for(2, min_clusters=2), initial_centroids=np.zeros((2, 3)))
+        logan_fit(d, cfg_for(2, min_clusters=2), 0.0, initial_centroids=np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "lam, shown", [(-0.5, "-0.5"), (-1.0, "-1.0"), (float("nan"), "nan"), (float("inf"), "inf")]
+)
+def test_logan_fit_rejects_a_bad_weight(lam, shown):
+    d = make_dataset([[0.0], [1.0], [2.0]], ["a", "b", "a"], [0, 1, 0], [0, 1, 1])
+    with pytest.raises(ValidationError, match=rf"^lam must be finite and >= 0, got {shown}$"):
+        logan_fit(d, cfg_for(2, min_clusters=2), lam)
 
 
 def test_brute_force_lambda_zero_equals_pure_kmeans_enumeration():
@@ -447,9 +455,8 @@ def test_best_single_move_delta_matches_loop_exactly(state, lam):
         converged=False,
         iterations_run=0,
     )
-    cfg = cfg_for(k, lam=lam, min_clusters=1)
-    assert best_single_move_delta(d, model, cfg) == reference_best_single_move_delta(
-        d, model, cfg
+    assert best_single_move_delta(d, model, lam) == reference_best_single_move_delta(
+        d, model, lam
     )
 
 
@@ -457,9 +464,9 @@ def test_overflowing_distances_rejected():
     feats = [[0.0, 0.0], [1.0, 0.0], [1e200, 0.0], [-1e200, 0.0]]
     d = make_dataset(feats, ["a", "b", "a", "b"], [0, 1, 0, 1], [0, 1, 1, 1])
     for lam in (0.0, 1.0):
-        cfg = cfg_for(2, lam=lam, min_clusters=2)
+        cfg = cfg_for(2, min_clusters=2)
         with pytest.raises(ValueError, match="overflow"):
-            logan_fit(d, cfg, initial_centroids=np.array([[0.0, 0.0], [1.0, 0.0]]))
+            logan_fit(d, cfg, lam, initial_centroids=np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="overflow float64; rescale the features"):
         kmeanspp_init(d, 2, seed=0)
 
@@ -516,14 +523,15 @@ def test_logan_fit_matches_sequential_reference_exactly(state, lam, permuted, se
     """The whole fit, so a distance buffer that one sweep leaves stale for
     the next would show; a permuted visit order goes through ``_fit_core``."""
     d, seeds, cfg = state
-    cfg = replace(cfg, lam=lam)
     if permuted:
         order = np.random.default_rng(seed).permutation(d.n)
-        model = _fit_core(d, seeds, cfg, sweep_order=order)
+        model = _fit_core(d, seeds, cfg, lam, sweep_order=order)
     else:
         order = None
-        model = logan_fit(d, cfg, initial_centroids=seeds)
-    assign, centroids, trace, iterations, converged = reference_logan_fit(d, seeds, cfg, order)
+        model = logan_fit(d, cfg, lam, initial_centroids=seeds)
+    assign, centroids, trace, iterations, converged = reference_logan_fit(
+        d, seeds, cfg, lam, order
+    )
     assert model.assignment.tolist() == assign.tolist()
     assert model.centroids.tobytes() == centroids.tobytes()
     assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()

@@ -298,8 +298,6 @@ def test_config_invariants():
     with pytest.raises(ValidationError):
         LoganConfig(k=3, min_clusters=5)
     with pytest.raises(ValidationError):
-        LoganConfig(lam=-0.5)
-    with pytest.raises(ValidationError):
         LoganConfig(max_iter=0)
     with pytest.raises(ValidationError):
         LoganConfig(bias_threshold=-0.01)
@@ -307,11 +305,9 @@ def test_config_invariants():
         LoganConfig(min_clusters=0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="finite"):
-            LoganConfig(lam=bad)
-        with pytest.raises(ValidationError, match="finite"):
             LoganConfig(bias_threshold=bad)
 
 
 def test_config_to_dict_round_trip():
-    cfg = LoganConfig(k=7, lam=2.5, seed=11, standardize=True)
+    cfg = LoganConfig(k=7, seed=11, standardize=True)
     assert LoganConfig(**cfg.to_dict()) == cfg

@@ -196,6 +196,39 @@ def test_load_csv_bad_feature_names_line(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_repeated_header_column(tmp_path):
+    """A repeated feature column would otherwise shadow the first one."""
+    path = tmp_path / "data.csv"
+    path.write_text(
+        "id,f0,f0,group,label,pred\np0,0.0,9.0,a,1,1\np1,1.0,8.0,b,0,0\n", encoding="utf-8"
+    )
+    with pytest.raises(LoadError, match="^line 1: column 'f0' repeats in the header$"):
+        load_csv(path)
+
+
+def test_load_csv_row_wider_than_the_header(tmp_path):
+    path = tmp_path / "data.csv"
+    write_lines(path, [CSV_HEADER, "p0,0.0,1.0,a,1,1", "p1,1.0,1.0,b,0,0,x,y", "p2,2,1,a,1,1"])
+    with pytest.raises(LoadError, match="^line 3: row has 8 cells, but the header has 6$"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_invalid_utf8_names_its_line(tmp_path, suffix):
+    """A byte that is not UTF-8 is named with its line, in both formats."""
+    if suffix == ".jsonl":
+        lines = [jsonl_line(i, text="cafe") for i in range(4)]
+    else:
+        lines = [CSV_HEADER + ",text"] + [f"p{i},{i}.0,1.0,{'ab'[i % 2]},1,1,cafe" for i in range(4)]
+    lines[2] = lines[2].replace("cafe", "caf\N{LATIN SMALL LETTER E WITH ACUTE}")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    path = tmp_path / f"data{suffix}"
+    path.write_bytes(data.replace(b"\xc3\xa9", b"\xff"))
+    with pytest.raises(LoadError, match="^line 3: byte 0xff is not valid UTF-8$") as err:
+        load_dataset(path, suffix[1:])
+    assert err.value.line == 3
+
+
 def test_load_csv_score_range(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(
@@ -279,8 +312,8 @@ def test_detect_non_finite_flag_exits_one(planted_file, tmp_path, capsys, flag, 
 
 def test_every_config_field_is_a_cli_flag():
     """Every flag of ``detect`` set away from its default moves every
-    config field but ``lam`` (the grid sets it) away from its default, so
-    no field is a knob that no flag reaches."""
+    config field away from its default, so no field is a knob that no
+    flag reaches."""
     required = ["detect", "--input", "in.csv", "--output", "out.json"]
     flags = (
         "--format csv --k 7 --lambdas 2,3 --seed 3 --bias-threshold 0.1 --min-per-group 5 "
@@ -295,8 +328,7 @@ def test_every_config_field_is_a_cli_flag():
             assert value != defaults[name], name
     cfg = _config_from_args(args)
     for field in dataclasses.fields(LoganConfig):
-        if field.name != "lam":
-            assert getattr(cfg, field.name) != field.default, field.name
+        assert getattr(cfg, field.name) != field.default, field.name
 
 
 @pytest.mark.parametrize("command", ["detect", "baseline", "random-split", "synth"])
@@ -489,6 +521,27 @@ def test_random_split_subcommand(planted_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "mean=" in out and "std=" in out
+
+
+def test_random_split_auc_names_the_first_scoreless_row(tmp_path, capsys):
+    """``random-split --metric auc`` names the first row without a score in
+    file order, the row ``baseline --metrics auc`` names, not the first one
+    that a permutation reaches."""
+    lines = [
+        jsonl_line(i, **({} if i in (3, 90) else {"score": 0.25 + 0.5 * (i % 2)}))
+        for i in range(100)
+    ]
+    path = tmp_path / "data.jsonl"
+    write_lines(path, lines)
+    expected = "error: AUC requires a score on every instance; missing for 'x3'\n"
+    for seed in range(3):
+        code = main(["random-split", "--input", str(path), "--metric", "auc",
+                     "--seed", str(seed)])
+        assert code == 1
+        assert capsys.readouterr().err == expected
+    out = tmp_path / "report.json"
+    assert main(["baseline", "--input", str(path), "--output", str(out), "--metrics", "auc"]) == 1
+    assert capsys.readouterr().err == expected
 
 
 def test_run_detect_library_entry(planted_file, tmp_path):

@@ -10,7 +10,7 @@ import logan
 from logan import cli, clustering, selection
 from logan.cli import main, run_detect
 from logan.clustering import kmeans_fit, kmeanspp_init
-from logan.data import LoganConfig
+from logan.data import LoganConfig, ValidationError
 from logan.io import write_jsonl
 from logan.postprocess import cluster_reports, compare, merge_small_clusters
 from logan.selection import grid_search
@@ -71,6 +71,29 @@ def test_empty_or_negative_grid_rejected():
         grid_search(d, small_cfg(), [])
     with pytest.raises(ValueError):
         grid_search(d, small_cfg(), [1.0, -2.0])
+
+
+@pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), (float("inf"), "inf"), (-1, "-1.0")])
+def test_bad_weight_is_rejected_before_any_fit(monkeypatch, bad, shown):
+    """Every grid entry is checked before the seeds are drawn or a cell is
+    fitted, wherever in the grid the bad entry sits."""
+    rng = np.random.default_rng(2)
+    d = random_dataset(rng, 30)
+    calls = []
+
+    def counting(fit):
+        def wrapped(*args):
+            calls.append(args)
+            return fit(*args)
+
+        return wrapped
+
+    force_workers(monkeypatch, 1)
+    patch_fit(monkeypatch, counting)
+    monkeypatch.setattr(clustering, "kmeanspp_init", counting(clustering.kmeanspp_init))
+    with pytest.raises(ValidationError, match=rf"^lam must be finite and >= 0, got {shown}$"):
+        grid_search(d, small_cfg(), [1.0, 5.0, bad])
+    assert calls == []
 
 
 # ------------------------------------------- cells in forked worker processes
@@ -166,9 +189,9 @@ def test_each_distinct_weight_is_fitted_once(monkeypatch):
     fitted = []
 
     def counting(fit):
-        def wrapped(dataset, cfg, initial_centroids):
-            fitted.append(cfg.lam)
-            return fit(dataset, cfg, initial_centroids)
+        def wrapped(dataset, cfg, lam, initial_centroids):
+            fitted.append(lam)
+            return fit(dataset, cfg, lam, initial_centroids)
 
         return wrapped
 
@@ -261,10 +284,10 @@ def test_run_detect_rejects_an_empty_grid(planted_file):
 
 def failing_at(*lams):
     def wrap(fit):
-        def wrapped(dataset, cfg, initial_centroids):
-            if cfg.lam in lams:
-                raise ValueError(f"cell lam={cfg.lam} failed")
-            return fit(dataset, cfg, initial_centroids)
+        def wrapped(dataset, cfg, lam, initial_centroids):
+            if lam in lams:
+                raise ValueError(f"cell lam={lam} failed")
+            return fit(dataset, cfg, lam, initial_centroids)
 
         return wrapped
 
@@ -310,10 +333,10 @@ _DYING_CELL = """
 import multiprocessing, os, sys
 from logan import cli, selection
 fit = selection.logan_fit
-def dying_fit(dataset, cfg, initial_centroids):
-    if cfg.lam == 5.0:
+def dying_fit(dataset, cfg, lam, initial_centroids):
+    if lam == 5.0:
         os._exit(7)
-    return fit(dataset, cfg, initial_centroids)
+    return fit(dataset, cfg, lam, initial_centroids)
 selection.logan_fit = dying_fit
 selection._worker_count = lambda n_cells: 2
 code = cli.main(sys.argv[1:])
