@@ -14,12 +14,11 @@ as a CI gate), 1 = any error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, NoReturn, Sequence
+from typing import Any, NoReturn, Sequence, get_type_hints
 
 from . import __version__
 from .data import LoganConfig, ValidationError, standardize_features
@@ -36,7 +35,7 @@ from .io import (
 )
 from .metrics import MetricKind, global_bias, random_split_baseline
 from .postprocess import cluster_reports, compare
-from .selection import grid_search
+from .selection import check_grid, grid_search
 from .synthetic import PlantedBiasSpec, generate
 
 _RANDOM_SPLIT_RUNS = 5
@@ -66,11 +65,7 @@ def _parse_lambdas(raw: str) -> list[float]:
         values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"could not parse lambda grid {raw!r}")
-    if not values:
-        raise ValueError("lambda grid is empty")
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"lambda grid {raw!r} holds a non-finite value")
-    return values
+    return check_grid(values)
 
 
 def run_detect(
@@ -81,6 +76,7 @@ def run_detect(
     fmt: str = "jsonl",
     metrics: Sequence[MetricKind] = (MetricKind.ACCURACY,),
     plot_path: str | Path | None = None,
+    standardize: bool = False,
 ) -> AuditReport:
     """Run the audit pipeline on one input file and write the report.
 
@@ -88,10 +84,10 @@ def run_detect(
     against a k-means baseline); with ``lambdas=None`` it audits the plain
     k-means clustering only, the grid's weight-0 cell on its own.  The
     chosen cell's reports are built once, for the report and the
-    comparison alike.
+    comparison alike.  ``standardize`` z-scores the features first.
     """
     dataset = load_dataset(input_path, fmt)
-    if cfg.standardize:
+    if standardize:
         dataset = standardize_features(dataset)
     # before any fit, so a row without the score an AUC needs fails fast
     global_gaps = {
@@ -115,6 +111,7 @@ def run_detect(
         )
 
     config_echo: dict[str, Any] = cfg.to_dict()
+    config_echo["standardize"] = standardize
     config_echo["lambdas"] = list(lambdas) if lambdas is not None else None
     config_echo["chosen_lambda"] = grid.chosen_lambda if lambdas is not None else None
     config_echo["metrics"] = [m.value for m in metrics]
@@ -150,24 +147,40 @@ def run_detect(
     return report
 
 
+def _add_field_flags(parser: argparse.ArgumentParser, cls: type) -> None:
+    """Add one flag per field of the dataclass ``cls``, ``--field-name`` or
+    ``--{metadata["flag"]}``, parsed into the field's name, with the
+    field's type, default and ``metadata["help"]``."""
+    types = get_type_hints(cls)
+    for f in fields(cls):
+        flag = f.metadata.get("flag", f.name.replace("_", "-"))
+        parser.add_argument(
+            f"--{flag}",
+            dest=f.name,
+            metavar=flag.replace("-", "_").upper(),
+            type=types[f.name],
+            default=f.default,
+            help=f.metadata.get("help"),
+        )
+
+
+def _from_args(cls: type, args: argparse.Namespace) -> Any:
+    """The dataclass ``cls`` built from the flags ``_add_field_flags`` added."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def _add_audit_flags(parser: argparse.ArgumentParser, with_lambdas: bool) -> None:
     parser.add_argument("--input", required=True, help="dataset file to audit")
     parser.add_argument(
         "--format", choices=("jsonl", "csv"), default="jsonl", help="input format"
     )
-    parser.add_argument("--k", type=int, default=10, help="initial cluster count")
+    _add_field_flags(parser, LoganConfig)
     if with_lambdas:
         parser.add_argument(
             "--lambdas",
             default="1,5,10,100",
             help="comma-separated bias-weight grid",
         )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument("--bias-threshold", type=float, default=0.05)
-    parser.add_argument("--min-per-group", type=int, default=20)
-    parser.add_argument("--min-cluster-total", type=int, default=20)
-    parser.add_argument("--min-clusters", type=int, default=5)
-    parser.add_argument("--max-iter", type=int, default=100)
     parser.add_argument(
         "--standardize", action="store_true", help="z-score features before clustering"
     )
@@ -203,15 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="write a synthetic dataset")
     synth.add_argument("--preset", choices=("planted-bias",), required=True)
-    synth.add_argument("--components", type=int, default=5)
-    synth.add_argument("--n-per-component", type=int, default=400)
-    synth.add_argument("--dim", type=int, default=2)
-    synth.add_argument("--separation", type=float, default=8.0)
-    synth.add_argument("--planted-component", type=int, default=0)
-    synth.add_argument("--planted-gap", type=float, default=0.30)
-    synth.add_argument("--background-acc", type=float, default=0.85)
-    synth.add_argument("--group-balance", type=float, default=0.5)
-    synth.add_argument("--seed", type=int, default=0)
+    _add_field_flags(synth, PlantedBiasSpec)
     synth.add_argument("--output", required=True)
 
     split = sub.add_parser("random-split", help="random-split gap baseline")
@@ -227,13 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> LoganConfig:
-    # every config field is the flag of the same name
-    return LoganConfig(**{f.name: getattr(args, f.name) for f in fields(LoganConfig)})
-
-
 def _cmd_audit(args: argparse.Namespace, with_lambdas: bool) -> int:
-    cfg = _config_from_args(args)
+    cfg = _from_args(LoganConfig, args)
     lambdas = _parse_lambdas(args.lambdas) if with_lambdas else None
     metrics = _parse_metrics(args.metrics)
     report = run_detect(
@@ -244,6 +244,7 @@ def _cmd_audit(args: argparse.Namespace, with_lambdas: bool) -> int:
         fmt=args.format,
         metrics=metrics,
         plot_path=args.plot_data,
+        standardize=args.standardize,
     )
     n_biased = report.n_biased_clusters()
     print(
@@ -254,18 +255,7 @@ def _cmd_audit(args: argparse.Namespace, with_lambdas: bool) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = PlantedBiasSpec(
-        n_clusters=args.components,
-        n_per_component=args.n_per_component,
-        dim=args.dim,
-        component_separation=args.separation,
-        planted_component=args.planted_component,
-        planted_gap=args.planted_gap,
-        background_acc=args.background_acc,
-        group_balance=args.group_balance,
-        seed=args.seed,
-    )
-    dataset = generate(spec)
+    dataset = generate(_from_args(PlantedBiasSpec, args))
     write_jsonl(dataset, args.output)
     print(f"wrote {dataset.n} instances to {args.output}")
     return 0

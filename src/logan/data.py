@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -69,22 +69,21 @@ class Dataset:
 
 @dataclass(frozen=True)
 class LoganConfig:
-    """Knobs for the full detection pipeline.
+    """Knobs for the full detection pipeline; each field is the ``detect``
+    and ``baseline`` flag of its name, with ``metadata["help"]`` as help.
 
-    ``standardize`` z-scores the features before clustering.
     ``min_cluster_total`` / ``min_clusters`` drive small-cluster merging;
     ``min_per_group`` and ``bias_threshold`` gate which clusters may be
     flagged as biased.  The bias weight is an argument of each fit.
     """
 
-    k: int = 10
+    k: int = field(default=10, metadata={"help": "initial cluster count"})
     max_iter: int = 100
-    seed: int = 0
+    seed: int = field(default=0, metadata={"help": "RNG seed"})
     min_cluster_total: int = 20
     min_clusters: int = 5
     min_per_group: int = 20
     bias_threshold: float = 0.05
-    standardize: bool = False
 
     def __post_init__(self) -> None:
         if self.min_clusters < 1:

@@ -94,8 +94,9 @@ def load_csv(path: str | Path) -> Dataset:
 
     Cells are parsed to the JSONL types where they can be; the row
     validator rejects the rest, and errors name the offending line.  A
-    header that repeats a column and a row with more cells than the header
-    are rejected too.
+    header that repeats a column or names one feature index twice (``f1``
+    and ``f01``), and a row with more or fewer cells than the header, are
+    rejected too.
     """
     builder = DatasetBuilder()
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
@@ -112,7 +113,13 @@ def load_csv(path: str | Path) -> Dataset:
         for col in reader.fieldnames:
             match = _FEATURE_COL_RE.match(col)
             if match:
-                feature_cols[int(match.group(1))] = col
+                index = int(match.group(1))
+                if index in feature_cols:
+                    first = feature_cols[index]
+                    raise LoadError(
+                        f"columns {first!r} and {col!r} both name feature {index}", 1
+                    )
+                feature_cols[index] = col
         if not feature_cols:
             raise LoadError("no feature columns (expected f0..f{d-1})", 1)
         dim = len(feature_cols)
@@ -121,20 +128,22 @@ def load_csv(path: str | Path) -> Dataset:
         for key in ("id", "group", "label", "pred"):
             if key not in reader.fieldnames:
                 raise LoadError(f"missing required column {key!r}", 1)
+        last = reader.fieldnames[-1]
         for record in reader:
-            extra = record.get(None)  # DictReader files surplus cells here
-            if extra is not None:
+            # DictReader files surplus cells under None and fills missing ones with None
+            extra = record.get(None)
+            if extra is not None or record[last] is None:
+                cells = width + len(extra or ()) - list(record.values()).count(None)
                 raise LoadError(
-                    f"row has {width + len(extra)} cells, but the header has {width}",
-                    reader.line_num,
+                    f"row has {cells} cells, but the header has {width}", reader.line_num
                 )
             obj: dict[str, Any] = {
-                "id": record.get("id") or "",
-                "features": [_parse_number(record[feature_cols[i]] or "") for i in range(dim)],
-                "group": record.get("group") or "",
+                "id": record["id"],
+                "features": [_parse_number(record[feature_cols[i]]) for i in range(dim)],
+                "group": record["group"],
             }
             for name in ("label", "pred"):
-                raw = (record.get(name) or "").strip()
+                raw = record[name].strip()
                 obj[name] = int(raw) if raw in ("0", "1") else raw
             raw_score = (record.get("score") or "").strip()
             if raw_score:

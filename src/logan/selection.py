@@ -83,13 +83,9 @@ def grid_search(
     exception raised by a cell is raised here, that of the baseline first
     and then of the first failing cell in grid order, and a worker that
     dies raises ``concurrent.futures.process.BrokenProcessPool``, a
-    ``RuntimeError``.  Every weight passes ``check_lam`` before any fit.
+    ``RuntimeError``.  The grid passes ``check_grid`` before any fit.
     """
-    if len(lambdas) == 0:
-        raise ValueError("lambda grid must be nonempty")
-    grid = [float(lam) for lam in lambdas]
-    for lam in grid:  # every entry, before any fit
-        check_lam(lam)
+    grid = check_grid(lambdas)
     if initial_centroids is None:
         initial_centroids = clustering.kmeanspp_init(dataset, cfg.k, cfg.seed)
     # the baseline first, so it is fitted (and fails) first
@@ -118,6 +114,17 @@ def grid_search(
     cells = [replace(by_weight[lam], lam=lam) for lam in grid]
     best = max(cells, key=lambda c: (c.biased_count, c.max_gap, -c.lam))
     return GridResult(cells=tuple(cells), chosen=best, baseline=fitted[0])
+
+
+def check_grid(lambdas: Sequence[float]) -> list[float]:
+    """The grid's weights as floats; raise ``ValueError`` unless there is
+    one at least and each passes ``check_lam``."""
+    if len(lambdas) == 0:
+        raise ValueError("lambda grid must be nonempty")
+    grid = [float(lam) for lam in lambdas]
+    for lam in grid:
+        check_lam(lam)
+    return grid
 
 
 def _fit_cell(

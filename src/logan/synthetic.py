@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ GROUP_2 = "b"
 
 @dataclass(frozen=True)
 class PlantedBiasSpec:
-    """Recipe for a planted-local-bias dataset.
+    """Recipe for a planted-local-bias dataset, one ``synth`` flag per field.
 
     ``planted_component`` receives an accuracy gap of ``planted_gap``
     (split ±gap/2 around ``background_acc`` between the two groups);
@@ -37,10 +37,10 @@ class PlantedBiasSpec:
     so the mixture structure is easily recoverable by clustering.
     """
 
-    n_clusters: int = 5
+    n_clusters: int = field(default=5, metadata={"flag": "components"})
     n_per_component: int = 400
     dim: int = 2
-    component_separation: float = 8.0
+    component_separation: float = field(default=8.0, metadata={"flag": "separation"})
     planted_component: int = 0
     planted_gap: float = 0.30
     background_acc: float = 0.85

@@ -309,5 +309,5 @@ def test_config_invariants():
 
 
 def test_config_to_dict_round_trip():
-    cfg = LoganConfig(k=7, seed=11, standardize=True)
+    cfg = LoganConfig(k=7, seed=11, bias_threshold=0.1)
     assert LoganConfig(**cfg.to_dict()) == cfg

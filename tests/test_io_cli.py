@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import logan
 
-from logan.cli import _config_from_args, build_parser, main, run_detect
+from logan.cli import _from_args, build_parser, main, run_detect
 from logan.data import LoganConfig
 from logan.io import (
     AuditReport,
@@ -213,6 +213,25 @@ def test_load_csv_row_wider_than_the_header(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_row_narrower_than_the_header(tmp_path):
+    """A row short of its trailing score cell would otherwise load as scoreless."""
+    path = tmp_path / "data.csv"
+    lines = [CSV_HEADER + ",score", "p0,0.0,1.0,a,1,1,0.5", "p1,1.0,1.0,b,0,0", "p2,2,1,a,1,1,0.5"]
+    write_lines(path, lines)
+    with pytest.raises(LoadError, match="^line 3: row has 6 cells, but the header has 7$"):
+        load_csv(path)
+
+
+def test_load_csv_feature_index_named_twice(tmp_path):
+    """``f01`` would otherwise shadow ``f1`` and leave the dimension short."""
+    path = tmp_path / "data.csv"
+    write_lines(path, ["id,f0,f1,f01,group,label,pred", "r1,1.0,2.0,100.0,a,1,1"])
+    with pytest.raises(
+        LoadError, match="^line 1: columns 'f1' and 'f01' both name feature 1$"
+    ):
+        load_csv(path)
+
+
 @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
 def test_invalid_utf8_names_its_line(tmp_path, suffix):
     """A byte that is not UTF-8 is named with its line, in both formats."""
@@ -326,9 +345,57 @@ def test_every_config_field_is_a_cli_flag():
     for name, value in vars(args).items():
         if name not in ("command", "input", "output"):
             assert value != defaults[name], name
-    cfg = _config_from_args(args)
+    cfg = _from_args(LoganConfig, args)
     for field in dataclasses.fields(LoganConfig):
         assert getattr(cfg, field.name) != field.default, field.name
+
+
+def test_every_synth_spec_field_is_a_cli_flag():
+    """The ``synth`` mirror of the test above, for ``PlantedBiasSpec``."""
+    required = ["synth", "--preset", "planted-bias", "--output", "out.jsonl"]
+    flags = (
+        "--components 4 --n-per-component 300 --dim 3 --separation 6 --planted-component 1 "
+        "--planted-gap 0.25 --background-acc 0.8 --group-balance 0.4 --seed 7"
+    ).split()
+    parser = build_parser()
+    defaults = vars(parser.parse_args(required))
+    args = parser.parse_args([*required, *flags])
+    for name, value in vars(args).items():
+        if name not in ("command", "preset", "output"):
+            assert value != defaults[name], name
+    spec = _from_args(PlantedBiasSpec, args)
+    for field in dataclasses.fields(PlantedBiasSpec):
+        assert getattr(spec, field.name) != field.default, field.name
+
+
+@pytest.mark.parametrize(
+    "argv, cls",
+    [
+        (["detect", "--input", "in.jsonl", "--output", "out.json"], LoganConfig),
+        (["baseline", "--input", "in.jsonl", "--output", "out.json"], LoganConfig),
+        (["synth", "--preset", "planted-bias", "--output", "out.jsonl"], PlantedBiasSpec),
+    ],
+)
+def test_parsed_defaults_rebuild_the_default_dataclass(argv, cls):
+    # repr, not ==, so that an int where the default is a float shows too
+    assert repr(_from_args(cls, build_parser().parse_args(argv))) == repr(cls())
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("-1", "lam must be finite and >= 0, got -1.0"),
+        ("nan", "lam must be finite and >= 0, got nan"),
+        ("1,inf", "lam must be finite and >= 0, got inf"),
+        (",", "lambda grid must be nonempty"),
+    ],
+)
+def test_invalid_lambda_grid_fails_before_the_input_is_read(tmp_path, capsys, grid, message):
+    out = tmp_path / "report.json"
+    argv = ["detect", "--input", str(tmp_path / "missing.jsonl"), "--output", str(out)]
+    assert main([*argv, f"--lambdas={grid}"]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["detect", "baseline", "random-split", "synth"])
