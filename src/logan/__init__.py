@@ -19,7 +19,7 @@ from .metrics import (
     GapResult,
     MetricKind,
     global_bias,
-    group_gap,
+    group_gaps,
     performance,
     random_split_baseline,
 )
@@ -67,7 +67,7 @@ __all__ = [
     "generate",
     "global_bias",
     "grid_search",
-    "group_gap",
+    "group_gaps",
     "interpret_cluster",
     "kmeans_fit",
     "kmeanspp_init",

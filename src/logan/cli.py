@@ -14,6 +14,7 @@ as a CI gate), 1 = any error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -38,7 +39,12 @@ from .postprocess import cluster_reports, compare
 from .selection import check_grid, grid_search
 from .synthetic import PlantedBiasSpec, generate
 
-_RANDOM_SPLIT_RUNS = 5
+# runs and seed of the random-split baseline, owned by its signature
+_SPLIT_DEFAULTS = {
+    name: p.default
+    for name, p in inspect.signature(random_split_baseline).parameters.items()
+    if p.default is not p.empty
+}
 _TOP_TOKENS = 10
 
 
@@ -118,15 +124,13 @@ def run_detect(
     config_echo["groups"] = list(dataset.groups)
     config_echo["mode"] = "detect" if lambdas is not None else "baseline"
 
-    mean_gap, std_gap = random_split_baseline(
-        dataset, MetricKind.ACCURACY, runs=_RANDOM_SPLIT_RUNS, seed=cfg.seed
-    )
+    mean_gap, std_gap = random_split_baseline(dataset, MetricKind.ACCURACY, seed=cfg.seed)
     report = AuditReport(
         config=config_echo,
         global_gaps=global_gaps,
         random_split={
             "metric": MetricKind.ACCURACY.value,
-            "runs": _RANDOM_SPLIT_RUNS,
+            "runs": _SPLIT_DEFAULTS["runs"],
             "mean": mean_gap,
             "std": std_gap,
         },
@@ -227,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="accuracy",
         choices=[m.value for m in MetricKind],
     )
-    split.add_argument("--runs", type=int, default=5)
-    split.add_argument("--seed", type=int, default=0)
+    for name, default in _SPLIT_DEFAULTS.items():
+        split.add_argument(f"--{name}", type=int, default=default)
     return parser
 
 

@@ -534,6 +534,8 @@ def logan_fit(
             raise ValueError(
                 f"initial centroids must have shape (k, {dataset.dim})"
             )
+        if not np.isfinite(centroids).all():
+            raise ValueError("initial centroids must be finite")
         if len(centroids) > dataset.n:
             raise ValueError(
                 f"k={len(centroids)} exceeds the number of instances ({dataset.n})"

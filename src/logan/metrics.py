@@ -1,11 +1,11 @@
-"""Subset performance metrics and between-group gap computations.
+"""Per-cell performance metrics and between-group gap computations.
 
-All operations are pure functions of a dataset's columns and a subset of
-its rows, given as integer row indices or a boolean mask (rows keep their
-order either way).  Metrics that are undefined on a subset (AUC with a
-single class, FPR with no negatives, anything on an empty subset) return
-``None`` rather than raising; callers treat such subsets as
-non-detectable.
+All operations are pure functions of a dataset's columns and a partition
+of its rows into cells: ``cells[i]`` in ``[0, n_cells)`` is the cell of
+row i (a cluster, the whole corpus, one half of a random split).  Metrics
+that are undefined on a cell (AUC with a single class, FPR with no
+negatives, anything on an empty cell) are ``None`` rather than raising;
+callers treat such cells as non-detectable.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ class MetricKind(Enum):
 
 @dataclass(frozen=True)
 class GapResult:
-    """Per-group performance on one subset plus their absolute difference.
+    """Per-group performance in one cell plus their absolute difference.
 
     ``gap`` is None whenever either group's performance is undefined
-    (empty group, degenerate AUC/FPR subset).
+    (empty group, degenerate AUC/FPR cell).
     """
 
     perf_group1: float | None
@@ -65,17 +65,29 @@ def _auc_from_arrays(labels: np.ndarray, scores: np.ndarray) -> float | None:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _require_scores(dataset: Dataset, idx: np.ndarray) -> None:
-    """Raise ValueError naming the first of the rows ``idx`` without a
-    score."""
-    missing = np.isnan(dataset.scores[idx])
+def _require_scores(dataset: Dataset) -> None:
+    """Raise ValueError naming the first row without a score."""
+    missing = np.isnan(dataset.scores)
     if missing.any():
-        first = dataset.ids[idx[np.argmax(missing)]]
+        first = dataset.ids[int(np.argmax(missing))]
         raise ValueError(f"AUC requires a score on every instance; missing for {first!r}")
 
 
-def performance(dataset: Dataset, rows: np.ndarray, kind: MetricKind) -> float | None:
-    """Performance of the model on the selected rows under the given metric.
+def _check_cells(dataset: Dataset, cells: np.ndarray, n_cells: int) -> np.ndarray:
+    """``cells`` as an index array; ValueError unless it holds one integer
+    id in ``[0, n_cells)`` per row."""
+    cells = np.asarray(cells)
+    if cells.shape != (dataset.n,) or not np.issubdtype(cells.dtype, np.integer):
+        raise ValueError(f"cells must hold one integer id per row, got {cells.shape}")
+    if cells.size and not 0 <= cells.min() <= cells.max() < n_cells:
+        raise ValueError(f"cell ids must lie in [0, {n_cells})")
+    return cells.astype(np.intp, copy=False)
+
+
+def performance(
+    dataset: Dataset, cells: np.ndarray, n_cells: int, kind: MetricKind
+) -> tuple[list[int], list[float | None]]:
+    """Size and performance of each cell; row i lies in cell ``cells[i]``.
 
     Accuracy: fraction of rows with prediction == label.
     FPR: among label==0 rows, fraction predicted 1 (None if no
@@ -83,50 +95,39 @@ def performance(dataset: Dataset, rows: np.ndarray, kind: MetricKind) -> float |
     pair is ranked correctly by score, ties credited 0.5 (None if either
     class is absent; raises ValueError if any score is missing).
 
-    Returns None on an empty subset.
+    Every metric is None on an empty cell.
     """
-    idx = np.arange(dataset.n)[rows]
-    if len(idx) == 0:
-        return None
+    cells = _check_cells(dataset, cells, n_cells)
+    codes = 4 * cells + 2 * dataset.labels + dataset.preds
+    counts = np.bincount(codes, minlength=4 * n_cells).reshape(n_cells, 4).tolist()
+    sizes = [sum(c) for c in counts]
     if kind is MetricKind.ACCURACY:
-        return int(np.count_nonzero(dataset.labels[idx] == dataset.preds[idx])) / len(idx)
+        return sizes, [(c[0] + c[3]) / n if n else None for c, n in zip(counts, sizes)]
     if kind is MetricKind.FPR:
-        negatives = idx[dataset.labels[idx] == 0]
-        if len(negatives) == 0:
-            return None
-        return int(np.count_nonzero(dataset.preds[negatives] == 1)) / len(negatives)
-    if kind is MetricKind.SUBGROUP_AUC:
-        _require_scores(dataset, idx)
-        return _auc_from_arrays(dataset.labels[idx], dataset.scores[idx])
-    raise ValueError(f"unknown metric kind: {kind!r}")
+        return sizes, [fp / (tn + fp) if tn + fp else None for tn, fp, _, _ in counts]
+    _require_scores(dataset)
+    # rows in ascending order, though no order changes a bit: average ranks
+    # depend only on the values, and half-integer rank sums below 2**53 are exact
+    members = np.split(np.argsort(cells, kind="stable"), np.cumsum(sizes)[:-1])
+    return sizes, [_auc_from_arrays(dataset.labels[m], dataset.scores[m]) for m in members]
 
 
-def group_gap(dataset: Dataset, rows: np.ndarray, kind: MetricKind) -> GapResult:
-    """Per-group performance on the selected rows and the absolute gap
-    between them; groups follow ``dataset.groups``."""
-    idx = np.arange(dataset.n)[rows]
-    if len(idx) == 0:
-        raise ValueError("group_gap requires a nonempty subset")
-    if kind is MetricKind.SUBGROUP_AUC:
-        _require_scores(dataset, idx)  # the first in row order, not group order
-    in_first = dataset.group_codes[idx] == 0
-    sub1 = idx[in_first]
-    sub2 = idx[~in_first]
-    p1 = performance(dataset, sub1, kind)
-    p2 = performance(dataset, sub2, kind)
-    gap = None if p1 is None or p2 is None else abs(p1 - p2)
-    return GapResult(
-        perf_group1=p1,
-        perf_group2=p2,
-        gap=gap,
-        n_group1=len(sub1),
-        n_group2=len(sub2),
-    )
+def group_gaps(
+    dataset: Dataset, cells: np.ndarray, n_cells: int, kind: MetricKind
+) -> list[GapResult]:
+    """Per-group performance in each cell and the absolute gap between
+    them; groups follow ``dataset.groups``."""
+    cells = _check_cells(dataset, cells, n_cells)
+    sizes, perfs = performance(dataset, 2 * cells + dataset.group_codes, 2 * n_cells, kind)
+    return [
+        GapResult(p1, p2, None if p1 is None or p2 is None else abs(p1 - p2), n1, n2)
+        for p1, p2, n1, n2 in zip(perfs[::2], perfs[1::2], sizes[::2], sizes[1::2])
+    ]
 
 
 def global_bias(dataset: Dataset, kind: MetricKind) -> GapResult:
     """Corpus-level gap: the group disparity over the entire dataset."""
-    return group_gap(dataset, np.arange(dataset.n), kind)
+    return group_gaps(dataset, np.zeros(dataset.n, dtype=np.intp), 1, kind)[0]
 
 
 def random_split_baseline(
@@ -144,21 +145,20 @@ def random_split_baseline(
 
     Runs where the gap is undefined are skipped; if every run is undefined
     the result is (nan, nan).  For AUC, a row without a score raises
-    ValueError naming the first such row in file order, before any run.
+    ValueError naming the first such row in file order.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if kind is MetricKind.SUBGROUP_AUC:
-        _require_scores(dataset, np.arange(dataset.n))
     rng = np.random.default_rng(seed)
     n1, _ = dataset.group_sizes()
     gaps = []
     for _ in range(runs):
         perm = rng.permutation(dataset.n)
-        pa = performance(dataset, perm[:n1], kind)
-        pb = performance(dataset, perm[n1:], kind)
+        cells = np.zeros(dataset.n, dtype=np.intp)
+        cells[perm[n1:]] = 1
+        _, (pa, pb) = performance(dataset, cells, 2, kind)
         if pa is None or pb is None:
             continue
         gaps.append(abs(pa - pb))

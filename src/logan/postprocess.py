@@ -18,7 +18,7 @@ import numpy as np
 
 from .clustering import ClusterModel
 from .data import Dataset, LoganConfig
-from .metrics import MetricKind, group_gap
+from .metrics import MetricKind, group_gaps
 
 
 @dataclass(frozen=True)
@@ -176,24 +176,24 @@ def cluster_reports(
     cluster's most over-represented tokens.
     """
     wanted = list(dict.fromkeys([MetricKind.ACCURACY, *kinds]))
-    members = [model.assignment == j for j in range(model.n_clusters)]
+    k = model.n_clusters
+    results = {kind: group_gaps(dataset, model.assignment, k, kind) for kind in wanted}
     # Token counts of each cluster's texts, None where no member has text.
     # "\n" is no token character, so joining the texts keeps their tokens
     # apart, and each row sits in one cluster, so the cluster counts add up
     # to the corpus counts.
-    token_counts: list[Counter[str] | None] = [None] * model.n_clusters
+    token_counts: list[Counter[str] | None] = [None] * k
     corpus_counts: Counter[str] = Counter()
     if top_tokens > 0:
-        for j, mask in enumerate(members):
-            texts = [dataset.texts[i] for i in np.flatnonzero(mask).tolist()]
+        for j in range(k):
+            texts = [dataset.texts[i] for i in np.flatnonzero(model.assignment == j).tolist()]
             texts = [text for text in texts if text is not None]
             if texts:
                 token_counts[j] = Counter(_TOKEN_RE.findall("\n".join(texts).lower()))
                 corpus_counts.update(token_counts[j])
     reports = []
-    for j, mask in enumerate(members):
-        results = {kind: group_gap(dataset, mask, kind) for kind in wanted}
-        counts = results[MetricKind.ACCURACY]
+    for j in range(k):
+        counts = results[MetricKind.ACCURACY][j]
         detectable = (
             counts.n_group1 >= cfg.min_per_group
             and counts.n_group2 >= cfg.min_per_group
@@ -212,9 +212,9 @@ def cluster_reports(
                 cluster_id=j,
                 n_group1=counts.n_group1,
                 n_group2=counts.n_group2,
-                perf_group1={kind: res.perf_group1 for kind, res in results.items()},
-                perf_group2={kind: res.perf_group2 for kind, res in results.items()},
-                gap={kind: res.gap for kind, res in results.items()},
+                perf_group1={kind: res[j].perf_group1 for kind, res in results.items()},
+                perf_group2={kind: res[j].perf_group2 for kind, res in results.items()},
+                gap={kind: res[j].gap for kind, res in results.items()},
                 detectable=detectable,
                 biased=biased,
                 top_tokens=top,

@@ -21,6 +21,7 @@ from logan.clustering import (
     _term,
 )
 from logan.data import Dataset, LoganConfig, ValidationError, build_dataset
+from logan.metrics import GapResult, MetricKind, _auc_from_arrays
 
 
 def rows_from_arrays(features, groups, labels, preds, scores=None, texts=None):
@@ -85,6 +86,44 @@ def random_dataset(
         u = rng.random(n)
         scores = np.where(preds == 1, 0.5 + 0.5 * u, 0.5 * u)
     return make_dataset(features, groups.tolist(), labels, preds, scores)
+
+
+def reference_performance(dataset: Dataset, rows, kind: MetricKind) -> float | None:
+    """``performance`` of one subset of rows (indices or a mask), computed
+    on that subset alone, rows in the order given; None on an empty
+    subset."""
+    idx = np.arange(dataset.n)[rows]
+    if len(idx) == 0:
+        return None
+    if kind is MetricKind.ACCURACY:
+        return int(np.count_nonzero(dataset.labels[idx] == dataset.preds[idx])) / len(idx)
+    if kind is MetricKind.FPR:
+        negatives = idx[dataset.labels[idx] == 0]
+        if len(negatives) == 0:
+            return None
+        return int(np.count_nonzero(dataset.preds[negatives] == 1)) / len(negatives)
+    assert not np.isnan(dataset.scores[idx]).any()
+    return _auc_from_arrays(dataset.labels[idx], dataset.scores[idx])
+
+
+def reference_group_gap(dataset: Dataset, rows, kind: MetricKind) -> GapResult:
+    """The per-group result of ``group_gaps`` for one nonempty subset of
+    rows, each group's rows taken out and measured on their own."""
+    idx = np.arange(dataset.n)[rows]
+    assert len(idx) > 0
+    in_first = dataset.group_codes[idx] == 0
+    sub1 = idx[in_first]
+    sub2 = idx[~in_first]
+    p1 = reference_performance(dataset, sub1, kind)
+    p2 = reference_performance(dataset, sub2, kind)
+    gap = None if p1 is None or p2 is None else abs(p1 - p2)
+    return GapResult(
+        perf_group1=p1,
+        perf_group2=p2,
+        gap=gap,
+        n_group1=len(sub1),
+        n_group2=len(sub2),
+    )
 
 
 def reference_add(row: Mapping[str, Any]) -> tuple:

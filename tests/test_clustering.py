@@ -19,7 +19,7 @@ from logan.clustering import (
     logan_fit,
 )
 from logan.data import LoganConfig, ValidationError, build_dataset
-from logan.synthetic import brute_force_objective
+from logan.synthetic import PlantedBiasSpec, brute_force_objective, generate
 
 from helpers import (
     ClusterStats,
@@ -317,6 +317,16 @@ def test_bad_initial_centroid_shape_rejected():
     d = make_dataset([[0.0, 1.0], [1.0, 2.0]], ["a", "b"], [0, 0], [0, 0])
     with pytest.raises(ValueError, match="shape"):
         logan_fit(d, cfg_for(2, min_clusters=2), 0.0, initial_centroids=np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("lam", [0.0, 5.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_initial_centroids_rejected(lam, bad):
+    d = generate(PlantedBiasSpec(n_per_component=50, seed=0))
+    seeds = kmeanspp_init(d, 6, 0)
+    seeds[2, 1] = bad
+    with pytest.raises(ValueError, match="initial centroids must be finite"):
+        logan_fit(d, cfg_for(6), lam, initial_centroids=seeds)
 
 
 @pytest.mark.parametrize(

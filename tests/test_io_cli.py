@@ -29,6 +29,7 @@ from logan.io import (
     load_jsonl,
     write_jsonl,
 )
+from logan.metrics import MetricKind, random_split_baseline
 from logan.synthetic import PlantedBiasSpec, generate
 
 from helpers import assert_same_dataset
@@ -588,6 +589,19 @@ def test_random_split_subcommand(planted_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "mean=" in out and "std=" in out
+
+
+def test_random_split_defaults_have_one_owner(planted_file, capsys):
+    """``random-split`` without ``--runs`` and ``--seed``, and the report's
+    noise baseline at seed 0, both give what ``random_split_baseline``
+    gives at its own defaults."""
+    mean, std = random_split_baseline(load_dataset(planted_file), MetricKind.ACCURACY)
+    assert main(["random-split", "--input", str(planted_file)]) == 0
+    assert capsys.readouterr().out == (
+        f"random-split gap (accuracy, 5 runs): mean={mean:.6f} std={std:.6f}\n"
+    )
+    report = run_detect(planted_file, LoganConfig(seed=0), None, None)
+    assert report.random_split == {"metric": "accuracy", "runs": 5, "mean": mean, "std": std}
 
 
 def test_random_split_auc_names_the_first_scoreless_row(tmp_path, capsys):

@@ -5,17 +5,18 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from logan.metrics import (
+    GapResult,
     MetricKind,
     _auc_from_arrays,
     _average_ranks,
     global_bias,
-    group_gap,
+    group_gaps,
     performance,
     random_split_baseline,
 )
 from logan.synthetic import brute_force_auc
 
-from helpers import make_dataset
+from helpers import make_dataset, reference_group_gap, reference_performance
 
 
 def dataset_of(labels, preds, groups=None, scores=None):
@@ -34,57 +35,74 @@ def every_row(d):
     return np.arange(d.n)
 
 
+def in_cell_0(d, rows):
+    """Cell ids with the rows ``rows`` in cell 0 and every other row in
+    cell 1."""
+    cells = np.ones(d.n, dtype=np.intp)
+    cells[rows] = 0
+    return cells
+
+
+def performance_of(d, rows, kind):
+    _, values = performance(d, in_cell_0(d, rows), 2, kind)
+    return values[0]
+
+
+def group_gap_of(d, rows, kind):
+    return group_gaps(d, in_cell_0(d, rows), 2, kind)[0]
+
+
 def test_accuracy_three_of_four():
     d = dataset_of([1, 0, 1, 0], [1, 0, 0, 0])
-    assert performance(d, every_row(d), MetricKind.ACCURACY) == 0.75
+    assert performance_of(d, every_row(d), MetricKind.ACCURACY) == 0.75
 
 
 def test_accuracy_empty_subset_undefined():
     d = dataset_of([1, 0], [1, 0])
-    assert performance(d, [], MetricKind.ACCURACY) is None
+    assert performance_of(d, [], MetricKind.ACCURACY) is None
 
 
 def test_fpr_counts_negatives_only():
     # labels: 0 0 0 1; predictions flag two of the three negatives
     d = dataset_of([0, 0, 0, 1], [1, 1, 0, 1])
-    assert performance(d, every_row(d), MetricKind.FPR) == pytest.approx(2 / 3)
+    assert performance_of(d, every_row(d), MetricKind.FPR) == pytest.approx(2 / 3)
 
 
 def test_fpr_undefined_without_negatives():
     d = dataset_of([1, 1], [1, 0])
-    assert performance(d, every_row(d), MetricKind.FPR) is None
+    assert performance_of(d, every_row(d), MetricKind.FPR) is None
 
 
 def test_auc_perfect_separation():
     d = dataset_of([1, 0, 1, 0], [1, 0, 0, 0], scores=[0.9, 0.1, 0.8, 0.2])
-    assert performance(d, every_row(d), MetricKind.SUBGROUP_AUC) == 1.0
+    assert performance_of(d, every_row(d), MetricKind.SUBGROUP_AUC) == 1.0
 
 
 def test_auc_single_tied_pair():
     d = dataset_of([1, 0], [1, 0], scores=[0.5, 0.5])
-    assert performance(d, every_row(d), MetricKind.SUBGROUP_AUC) == 0.5
+    assert performance_of(d, every_row(d), MetricKind.SUBGROUP_AUC) == 0.5
 
 
 def test_auc_reversed_scores():
     d = dataset_of([1, 0], [1, 0], scores=[0.1, 0.9])
-    assert performance(d, every_row(d), MetricKind.SUBGROUP_AUC) == 0.0
+    assert performance_of(d, every_row(d), MetricKind.SUBGROUP_AUC) == 0.0
 
 
 def test_auc_mixed_with_tie():
     # pairs: (0.6 vs 0.5) correct, (0.4 vs 0.5) wrong -> 0.5
     d = dataset_of([1, 1, 0], [1, 1, 0], scores=[0.6, 0.4, 0.5])
-    assert performance(d, every_row(d), MetricKind.SUBGROUP_AUC) == 0.5
+    assert performance_of(d, every_row(d), MetricKind.SUBGROUP_AUC) == 0.5
 
 
 def test_auc_single_class_undefined():
     d = dataset_of([1, 1], [1, 1], scores=[0.3, 0.7])
-    assert performance(d, every_row(d), MetricKind.SUBGROUP_AUC) is None
+    assert performance_of(d, every_row(d), MetricKind.SUBGROUP_AUC) is None
 
 
 def test_auc_missing_score_raises():
     d = dataset_of([1, 0], [1, 0])
     with pytest.raises(ValueError, match="score"):
-        performance(d, every_row(d), MetricKind.SUBGROUP_AUC)
+        performance_of(d, every_row(d), MetricKind.SUBGROUP_AUC)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -97,7 +115,7 @@ def test_auc_matches_brute_force(seed):
     # quantized scores make ties frequent
     scores = rng.integers(0, 6, size=n) / 5.0
     d = dataset_of(labels.tolist(), labels.tolist(), scores=scores.tolist())
-    fast = performance(d, every_row(d), MetricKind.SUBGROUP_AUC)
+    fast = performance_of(d, every_row(d), MetricKind.SUBGROUP_AUC)
     slow = brute_force_auc(d.labels, d.scores)
     assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -122,7 +140,7 @@ def test_group_gap_direct_count():
         [1, 1, 0, 1, 1, 1],
         groups=["a", "a", "a", "a", "b", "b"],
     )
-    res = group_gap(d, every_row(d), MetricKind.ACCURACY)
+    res = group_gap_of(d, every_row(d), MetricKind.ACCURACY)
     assert res.perf_group1 == 0.75
     assert res.perf_group2 == 0.5
     assert res.gap == 0.25
@@ -136,28 +154,32 @@ def test_group_gap_symmetric_zero():
         [1, 1, 1, 1],
         groups=["a", "a", "b", "b"],
     )
-    res = group_gap(d, every_row(d), MetricKind.ACCURACY)
+    res = group_gap_of(d, every_row(d), MetricKind.ACCURACY)
     assert res.gap == 0.0
 
 
 def test_group_gap_empty_group_undefined():
     d = dataset_of([1, 0, 1], [1, 0, 1], groups=["a", "a", "b"])
     subset = [0, 1]  # group b absent from the evaluated slice
-    res = group_gap(d, subset, MetricKind.ACCURACY)
+    res = group_gap_of(d, subset, MetricKind.ACCURACY)
     assert res.perf_group2 is None
     assert res.gap is None
     assert res.n_group2 == 0
 
 
 def test_group_gap_permutation_invariant():
+    # relabelling the cells permutes the results and changes none of them
     rng = np.random.default_rng(3)
     labels = rng.integers(0, 2, 30).tolist()
     preds = rng.integers(0, 2, 30).tolist()
     groups = (["a", "b"] * 15)
     d = dataset_of(labels, preds, groups=groups)
-    res = group_gap(d, every_row(d), MetricKind.ACCURACY)
-    res_perm = group_gap(d, rng.permutation(30), MetricKind.ACCURACY)
-    assert res == res_perm
+    cells = rng.integers(0, 4, 30)
+    relabel = rng.permutation(4)
+    for kind in (MetricKind.ACCURACY, MetricKind.FPR):
+        res = group_gaps(d, cells, 4, kind)
+        res_perm = group_gaps(d, relabel[cells], 4, kind)
+        assert [res_perm[relabel[j]] for j in range(4)] == res
 
 
 def test_global_bias_duplicated_group_is_zero():
@@ -217,7 +239,7 @@ def test_metric_bounds_on_random_subsets():
         scores = rng.random(n).tolist()
         d = dataset_of(labels, preds, scores=scores)
         for kind in MetricKind:
-            value = performance(d, every_row(d), kind)
+            value = performance_of(d, every_row(d), kind)
             if value is not None:
                 assert 0.0 <= value <= 1.0
 
@@ -233,3 +255,103 @@ def test_metric_bounds_on_random_subsets():
 def test_average_ranks_match_rankdata_bitwise(values):
     v = np.array(values, dtype=np.float64)
     assert _average_ranks(v).tobytes() == rankdata(v, method="average").tobytes()
+
+
+@pytest.mark.parametrize(
+    "cells, shown",
+    [
+        ([0, 1, 0], "one integer id per row"),
+        ([0, -1, 0, 1], r"\[0, 2\)"),
+        ([0, 1, 2, 1], r"\[0, 2\)"),
+        ([0.0, 1.0, 0.0, 1.0], "one integer id per row"),
+    ],
+)
+@pytest.mark.parametrize("compute", [performance, group_gaps])
+def test_cells_hold_one_id_in_range_per_row(compute, cells, shown):
+    d = dataset_of([1, 0, 1, 0], [1, 0, 0, 0])
+    with pytest.raises(ValueError, match=shown):
+        compute(d, np.array(cells), 2, MetricKind.ACCURACY)
+
+
+N_CELLS = 7
+# appended to every drawn partition: cell 4 holds group "a" only, cell 5
+# label 1 only (FPR and AUC undefined), and cell 6 stays empty
+FIXED_ROWS = [
+    (4, "a", 1, 0, 0.5),
+    (4, "a", 0, 1, 0.5),
+    (5, "a", 1, 1, 0.25),
+    (5, "b", 1, 0, 0.25),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.sampled_from("ab"),
+            st.integers(0, 1),
+            st.integers(0, 1),
+            # few distinct scores, so ties are frequent
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        ),
+        max_size=60,
+    )
+)
+def test_group_gaps_match_the_per_subset_reference_bitwise(rows):
+    rows = rows + FIXED_ROWS
+    cells = np.array([r[0] for r in rows])
+    d = make_dataset(
+        features=[[float(i)] for i in range(len(rows))],
+        groups=[r[1] for r in rows],
+        labels=[r[2] for r in rows],
+        preds=[r[3] for r in rows],
+        scores=[r[4] for r in rows],
+    )
+    for kind in MetricKind:
+        sizes, values = performance(d, cells, N_CELLS, kind)
+        gaps = group_gaps(d, cells, N_CELLS, kind)
+        for j in range(N_CELLS):
+            members = np.flatnonzero(cells == j)
+            assert sizes[j] == len(members) and type(sizes[j]) is int
+            # repr tells every float bit pattern apart, and Python from numpy scalars
+            assert repr(values[j]) == repr(reference_performance(d, members, kind))
+            if len(members) == 0:
+                assert gaps[j] == GapResult(None, None, None, 0, 0)
+            else:
+                assert repr(gaps[j]) == repr(reference_group_gap(d, members, kind))
+    assert gaps[6].n_group1 == gaps[6].n_group2 == 0
+    assert gaps[4].perf_group2 is None or gaps[4].perf_group1 is None
+    assert gaps[5].gap is None
+
+
+def reference_random_split(d, kind, runs, seed):
+    """``random_split_baseline`` measured half by half, each half's rows in
+    permutation order."""
+    rng = np.random.default_rng(seed)
+    n1, _ = d.group_sizes()
+    gaps = []
+    for _ in range(runs):
+        perm = rng.permutation(d.n)
+        pa = reference_performance(d, perm[:n1], kind)
+        pb = reference_performance(d, perm[n1:], kind)
+        if pa is not None and pb is not None:
+            gaps.append(abs(pa - pb))
+    if not gaps:
+        return float("nan"), float("nan")
+    return float(np.mean(gaps)), float(np.std(gaps))
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+@pytest.mark.parametrize("seed", range(6))
+def test_random_split_matches_the_per_half_reference_bitwise(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 300))
+    labels = rng.integers(0, 2, n)
+    preds = rng.integers(0, 2, n)
+    # quantized scores make ties frequent
+    scores = rng.integers(0, 5, n) / 4.0
+    d = dataset_of(labels.tolist(), preds.tolist(), scores=scores.tolist())
+    got = random_split_baseline(d, kind, runs=5, seed=seed)
+    expected = reference_random_split(d, kind, 5, seed)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()

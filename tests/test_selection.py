@@ -96,6 +96,17 @@ def test_bad_weight_is_rejected_before_any_fit(monkeypatch, bad, shown):
     assert calls == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_seeds_are_rejected(monkeypatch, workers):
+    d = generate(PlantedBiasSpec(n_per_component=50, seed=0))
+    cfg = LoganConfig(k=6, seed=0)
+    seeds = kmeanspp_init(d, 6, 0)
+    seeds[0, 0] = float("nan")
+    force_workers(monkeypatch, workers)
+    with pytest.raises(ValueError, match="initial centroids must be finite"):
+        grid_search(d, cfg, [1.0, 5.0], initial_centroids=seeds)
+
+
 # ------------------------------------------- cells in forked worker processes
 
 def force_workers(monkeypatch, n):
