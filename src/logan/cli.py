@@ -109,6 +109,7 @@ def run_detect(
         cfg,
         kinds=tuple(metrics),
         top_tokens=_TOP_TOKENS if has_text else 0,
+        table=grid.chosen.table,
     )
     comparison = None
     if lambdas is not None:

@@ -89,7 +89,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -405,6 +405,29 @@ def _sweep_blocked(
     return moves
 
 
+# Floats per block of distances and per chunk of differences in
+# _stale_dists: 2 MB of float64.
+_STALE_CHUNK = 1 << 18
+
+
+def _stale_dists(X: np.ndarray, stale: np.ndarray) -> Iterator[np.ndarray]:
+    """Each stale centroid's squared distances to every instance, summed as
+    ``np.sum((X - c) ** 2, axis=1)`` sums them.  Centroids are taken in
+    blocks, and rows in chunks, so that a block's distances and a chunk's
+    (rows, block, dim) differences hold at most ``_STALE_CHUNK`` floats, or
+    one centroid's n distances and one row's differences if those are more."""
+    n, dim = X.shape
+    size = max(1, _STALE_CHUNK // max(n, dim))
+    for b in range(0, len(stale), size):
+        block = stale[b : b + size]
+        out = np.empty((len(block), n), dtype=np.float64)
+        rows = max(1, _STALE_CHUNK // block.size)
+        for start in range(0, n, rows):
+            diffs = X[start : start + rows, None] - block
+            out[:, start : start + rows] = np.sum(diffs**2, axis=2).T
+        yield from out
+
+
 def _fit_core(
     dataset: Dataset,
     centroids: np.ndarray,
@@ -449,21 +472,21 @@ def _fit_core(
         return (l_c, l_b, l_c + lam * l_b)
 
     def update_centroids() -> None:
-        # Re-seed any emptied cluster with the instance farthest from its
-        # stale centroid; donors must leave a nonempty cluster behind.
-        while True:
-            sizes = np.sum(counts, axis=1)
-            if sizes.all():
-                break
-            e = int(sizes.argmin())
+        # Re-seed each emptied cluster, in ascending order, with the instance
+        # farthest from its stale centroid; donors must leave a nonempty
+        # cluster behind, so no re-seed empties a cluster and the distances
+        # to every stale centroid can be taken up front.
+        sizes = np.sum(counts, axis=1)
+        empty = np.flatnonzero(sizes == 0).tolist()
+        for e, dist_to_e in zip(empty, _stale_dists(X, centroids[empty])):
             eligible = sizes[assign] >= 2
             if not eligible.any():
                 raise RuntimeError("no eligible donor instance for empty cluster")
-            dist_to_e = np.sum((X - centroids[e]) ** 2, axis=1)
             donor = int(np.where(eligible, dist_to_e, -1.0).argmax())
-            _apply_move(
-                X, donor, int(assign[donor]), e, int(kinds[donor]), assign, counts, term, sums
-            )
+            p = int(assign[donor])
+            _apply_move(X, donor, p, e, int(kinds[donor]), assign, counts, term, sums)
+            sizes[p] -= 1
+            sizes[e] += 1
             if lam == 0.0:
                 bounds.invalidate(donor)
         centroids[:] = sums / sizes[:, None]

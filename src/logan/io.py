@@ -69,7 +69,7 @@ def load_jsonl(path: str | Path) -> Dataset:
                 continue
             try:
                 obj = json.loads(stripped)
-            except ValueError as exc:  # also an int literal over the digit limit
+            except (ValueError, RecursionError) as exc:  # also digit limit, nesting depth
                 raise LoadError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no) from exc
             if not isinstance(obj, dict):
                 raise LoadError("each line must hold a JSON object", line_no)

@@ -2,10 +2,11 @@
 
 All operations are pure functions of a dataset's columns and a partition
 of its rows into cells: ``cells[i]`` in ``[0, n_cells)`` is the cell of
-row i (a cluster, the whole corpus, one half of a random split).  Metrics
-that are undefined on a cell (AUC with a single class, FPR with no
-negatives, anything on an empty cell) are ``None`` rather than raising;
-callers treat such cells as non-detectable.
+row i (a cluster, the whole corpus, one half of a random split).  Sizes,
+accuracy and FPR are read off one count, ``counts``; only AUC reads rows.
+Metrics that are undefined on a cell (AUC with a single class, FPR with
+no negatives, anything on an empty cell) are ``None`` rather than
+raising; callers treat such cells as non-detectable.
 """
 
 from __future__ import annotations
@@ -84,6 +85,26 @@ def _check_cells(dataset: Dataset, cells: np.ndarray, n_cells: int) -> np.ndarra
     return cells.astype(np.intp, copy=False)
 
 
+def counts(dataset: Dataset, cells: np.ndarray, n_cells: int) -> np.ndarray:
+    """Each cell's rows by (label, prediction): an ``(n_cells, 4)`` int
+    array whose columns count TN, FP, FN and TP; row i lies in cell
+    ``cells[i]``.  Accuracy, FPR and sizes are read off it."""
+    cells = _check_cells(dataset, cells, n_cells)
+    codes = 4 * cells + 2 * dataset.labels + dataset.preds
+    return np.bincount(codes, minlength=4 * n_cells).reshape(n_cells, 4)
+
+
+def _rates(table: np.ndarray, kind: MetricKind) -> tuple[list[int], list[float | None]]:
+    """Size and accuracy or FPR of each cell of a ``counts`` table."""
+    rows = np.reshape(table, (-1, 4)).tolist()
+    sizes = [sum(c) for c in rows]
+    if kind is MetricKind.ACCURACY:
+        return sizes, [(c[0] + c[3]) / n if n else None for c, n in zip(rows, sizes)]
+    if kind is MetricKind.FPR:
+        return sizes, [fp / (tn + fp) if tn + fp else None for tn, fp, _, _ in rows]
+    raise ValueError(f"{kind.value} is not read from counts")
+
+
 def performance(
     dataset: Dataset, cells: np.ndarray, n_cells: int, kind: MetricKind
 ) -> tuple[list[int], list[float | None]]:
@@ -97,15 +118,11 @@ def performance(
 
     Every metric is None on an empty cell.
     """
+    if kind is not MetricKind.SUBGROUP_AUC:
+        return _rates(counts(dataset, cells, n_cells), kind)
     cells = _check_cells(dataset, cells, n_cells)
-    codes = 4 * cells + 2 * dataset.labels + dataset.preds
-    counts = np.bincount(codes, minlength=4 * n_cells).reshape(n_cells, 4).tolist()
-    sizes = [sum(c) for c in counts]
-    if kind is MetricKind.ACCURACY:
-        return sizes, [(c[0] + c[3]) / n if n else None for c, n in zip(counts, sizes)]
-    if kind is MetricKind.FPR:
-        return sizes, [fp / (tn + fp) if tn + fp else None for tn, fp, _, _ in counts]
     _require_scores(dataset)
+    sizes = np.bincount(cells, minlength=n_cells).tolist()
     # rows in ascending order, though no order changes a bit: average ranks
     # depend only on the values, and half-integer rank sums below 2**53 are exact
     members = np.split(np.argsort(cells, kind="stable"), np.cumsum(sizes)[:-1])
@@ -118,7 +135,15 @@ def group_gaps(
     """Per-group performance in each cell and the absolute gap between
     them; groups follow ``dataset.groups``."""
     cells = _check_cells(dataset, cells, n_cells)
-    sizes, perfs = performance(dataset, 2 * cells + dataset.group_codes, 2 * n_cells, kind)
+    return _paired(*performance(dataset, 2 * cells + dataset.group_codes, 2 * n_cells, kind))
+
+
+def table_gaps(table: np.ndarray, kind: MetricKind) -> list[GapResult]:
+    """``group_gaps`` read off a (cell, group, label, prediction) count."""
+    return _paired(*_rates(table, kind))
+
+
+def _paired(sizes: list[int], perfs: list[float | None]) -> list[GapResult]:
     return [
         GapResult(p1, p2, None if p1 is None or p2 is None else abs(p1 - p2), n1, n2)
         for p1, p2, n1, n2 in zip(perfs[::2], perfs[1::2], sizes[::2], sizes[1::2])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .clustering import ClusterModel
 from .data import Dataset, LoganConfig
-from .metrics import MetricKind, group_gaps
+from .metrics import GapResult, MetricKind, counts, group_gaps, table_gaps
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,9 @@ class ClusterReport:
     """Per-cluster group counts, per-group performance, gaps and flags.
 
     ``perf_group1``/``perf_group2``/``gap`` are keyed by MetricKind; a None
-    value marks a metric undefined on that slice.  ``biased`` implies
-    ``detectable`` and always refers to the accuracy gap.
+    value marks a metric undefined on that slice.  All but AUC are read off
+    the ``cluster_table``.  ``biased`` implies ``detectable`` and always
+    refers to the accuracy gap.
     """
 
     cluster_id: int
@@ -161,23 +162,48 @@ def interpret_cluster(
     return tuple(ranked[:top_n])
 
 
+def cluster_table(model: ClusterModel, dataset: Dataset) -> np.ndarray:
+    """The model's ``(k, 2, 2, 2)`` (cluster, group, label, prediction) count."""
+    k = model.n_clusters
+    return counts(dataset, 2 * model.assignment + dataset.group_codes, 2 * k).reshape(k, 2, 2, 2)
+
+
+def bias_flags(r: GapResult, cfg: LoganConfig) -> tuple[bool, bool]:
+    """(detectable, biased) of a cluster from its accuracy result ``r``;
+    the one place the rule lives."""
+    detectable = r.n_group1 >= cfg.min_per_group and r.n_group2 >= cfg.min_per_group
+    return detectable, detectable and r.gap is not None and r.gap >= cfg.bias_threshold
+
+
 def cluster_reports(
     model: ClusterModel,
     dataset: Dataset,
     cfg: LoganConfig,
     kinds: Sequence[MetricKind] = (MetricKind.ACCURACY,),
     top_tokens: int = 0,
+    table: np.ndarray | None = None,
 ) -> list[ClusterReport]:
     """One report per cluster of a (typically merged) model.
 
     The accuracy gap is always computed, since the biased flag depends on
-    it; further requested metric kinds are added alongside.  When
-    ``top_tokens`` > 0 and a cluster carries text, the report includes the
-    cluster's most over-represented tokens.
+    it; further requested metric kinds are added alongside.  ``table`` is
+    the model's ``cluster_table`` (``ValueError`` on a wrong shape),
+    counted here when not given.  When ``top_tokens`` > 0 and a cluster
+    carries text, the report includes the cluster's most over-represented
+    tokens.
     """
     wanted = list(dict.fromkeys([MetricKind.ACCURACY, *kinds]))
     k = model.n_clusters
-    results = {kind: group_gaps(dataset, model.assignment, k, kind) for kind in wanted}
+    if table is None:
+        table = cluster_table(model, dataset)
+    elif np.shape(table) != (k, 2, 2, 2):
+        raise ValueError(f"table must have shape ({k}, 2, 2, 2), got {np.shape(table)}")
+    results = {
+        kind: group_gaps(dataset, model.assignment, k, kind)
+        if kind is MetricKind.SUBGROUP_AUC
+        else table_gaps(table, kind)
+        for kind in wanted
+    }
     # Token counts of each cluster's texts, None where no member has text.
     # "\n" is no token character, so joining the texts keeps their tokens
     # apart, and each row sits in one cluster, so the cluster counts add up
@@ -192,13 +218,8 @@ def cluster_reports(
                 token_counts[j] = Counter(_TOKEN_RE.findall("\n".join(texts).lower()))
                 corpus_counts.update(token_counts[j])
     reports = []
-    for j in range(k):
-        counts = results[MetricKind.ACCURACY][j]
-        detectable = (
-            counts.n_group1 >= cfg.min_per_group
-            and counts.n_group2 >= cfg.min_per_group
-        )
-        biased = detectable and counts.gap is not None and counts.gap >= cfg.bias_threshold
+    for j, accuracy in enumerate(results[MetricKind.ACCURACY]):
+        detectable, biased = bias_flags(accuracy, cfg)
         cluster_tokens = token_counts[j]
         top: tuple[str, ...] | None = None
         if cluster_tokens is not None:
@@ -210,8 +231,8 @@ def cluster_reports(
         reports.append(
             ClusterReport(
                 cluster_id=j,
-                n_group1=counts.n_group1,
-                n_group2=counts.n_group2,
+                n_group1=accuracy.n_group1,
+                n_group2=accuracy.n_group2,
                 perf_group1={kind: res[j].perf_group1 for kind, res in results.items()},
                 perf_group2={kind: res[j].perf_group2 for kind, res in results.items()},
                 gap={kind: res[j].gap for kind, res in results.items()},

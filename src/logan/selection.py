@@ -1,13 +1,13 @@
 """Grid search over the bias-loss weight, with the k-means baseline.
 
-Each candidate weight runs the full fit -> merge -> report pipeline from
-the same k-means++ seeds, drawn once, and the same config; the weight is
-an argument of the fit and the only varying factor.  A cell keeps its
-merged model and the two numbers the choice reads; a caller that reports
-on a cell builds its ``cluster_reports`` from the model.  The winner is
-the weight whose clustering exposes the most biased clusters; ties go to
-the larger maximum gap, then to the smaller weight.  The rule is
-order-free, so permuting the grid cannot change the choice.
+Each candidate weight runs the fit -> merge -> count pipeline from the
+same k-means++ seeds, drawn once, and the same config; the weight is an
+argument of the fit and the only varying factor.  A cell keeps its merged
+model and its ``cluster_table``, the count of rows that the choice, the
+biased flags and ``cluster_reports`` all read.  The winner is the weight
+whose clustering exposes the most biased clusters; ties go to the larger
+maximum gap, then to the smaller weight.  The rule is order-free, so
+permuting the grid cannot change the choice.
 
 The k-means baseline every cell is compared against is the same pipeline
 at weight 0 (``kmeans_fit`` is ``logan_fit`` with the weight off), so it is
@@ -39,15 +39,17 @@ import numpy as np
 from . import clustering
 from .clustering import ClusterModel, check_lam, logan_fit
 from .data import Dataset, LoganConfig
-from .postprocess import cluster_reports, merge_small_clusters
+from .metrics import MetricKind, table_gaps
+from .postprocess import bias_flags, cluster_table, merge_small_clusters
 
 
 @dataclass(frozen=True)
 class GridCell:
-    """One evaluated grid point: merged model plus its bias summary."""
+    """One evaluated grid point: merged model, its ``cluster_table`` and bias summary."""
 
     lam: float
     model: ClusterModel
+    table: np.ndarray
     biased_count: int
     max_gap: float
 
@@ -72,7 +74,7 @@ def grid_search(
     lambdas: Sequence[float],
     initial_centroids: np.ndarray | None = None,
 ) -> GridResult:
-    """Fit, merge and report once per candidate weight; pick the best.
+    """Fit, merge and count once per candidate weight; pick the best.
 
     Every fit starts from ``initial_centroids``, or, when they are not
     given, from the k-means++ seeds of ``cfg.seed``, drawn once here.
@@ -135,18 +137,10 @@ def _fit_cell(
 ) -> GridCell:
     fit = logan_fit(dataset, cfg, lam, initial_centroids)
     model = merge_small_clusters(fit, dataset, cfg)
-    reports = cluster_reports(model, dataset, cfg)
-    gaps = [
-        r.accuracy_gap()
-        for r in reports
-        if r.detectable and r.accuracy_gap() is not None
-    ]
-    return GridCell(
-        lam=lam,
-        model=model,
-        biased_count=sum(1 for r in reports if r.biased),
-        max_gap=max(gaps, default=0.0),
-    )
+    table = cluster_table(model, dataset)
+    flagged = [(r.gap, *bias_flags(r, cfg)) for r in table_gaps(table, MetricKind.ACCURACY)]
+    gaps = [gap for gap, detectable, _ in flagged if detectable and gap is not None]
+    return GridCell(lam, model, table, sum(b for _, _, b in flagged), max(gaps, default=0.0))
 
 
 def _worker_count(n_cells: int) -> int:

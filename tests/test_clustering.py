@@ -6,11 +6,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from logan import clustering
 from logan.clustering import (
     ClusterModel,
     _LloydBounds,
     _SQ_DISTS_ROWS,
     _fit_core,
+    _stale_dists,
     _sq_dists,
     _sweep_blocked,
     _term,
@@ -237,6 +239,48 @@ def test_empty_cluster_reseed_duplicate_seeds():
         sizes = model.cluster_sizes()
         assert sizes.min() >= 1
         assert sizes.sum() == 3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9, 16, 37, 768])
+@pytest.mark.parametrize("chunk", [1, 1000, clustering._STALE_CHUNK])
+def test_stale_distances_are_the_per_centroid_sums_bitwise(monkeypatch, dim, chunk):
+    """Stale distances taken in blocks of centroids and chunks of rows are
+    bit for bit the ``np.sum((X - c) ** 2, axis=1)`` of one centroid at a
+    time; a chunk of 1000 floats takes the 7 centroids in blocks of 3, 3
+    and 1 up to dim 333, one at a time above."""
+    rng = np.random.default_rng(dim)
+    X = rng.standard_normal((301, dim)) * rng.choice([1e-3, 1.0, 1e5], size=dim)
+    stale = rng.standard_normal((7, dim))
+    monkeypatch.setattr(clustering, "_STALE_CHUNK", chunk)
+    got = list(_stale_dists(X, stale))
+    assert len(got) == len(stale)
+    for c, row in zip(stale, got):
+        assert row.tobytes() == np.sum((X - c) ** 2, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 9, 16, 37, 768])
+@pytest.mark.parametrize("chunk", [1, 40, clustering._STALE_CHUNK])
+def test_many_reseeds_match_the_reference_loops_exactly(monkeypatch, dim, chunk):
+    """Six distinct points, each repeated: twelve seeds of which only six
+    are distinct leave clusters empty, and every one is re-seeded; a chunk
+    of 40 floats takes the stale centroids two at a time up to dim 20."""
+    rng = np.random.default_rng(dim)
+    X = np.repeat(rng.standard_normal((6, dim)) * 3.0, 3, axis=0)
+    groups = ["a", "b"] * 9
+    labels = rng.integers(0, 2, size=18)
+    d = make_dataset(X, groups, labels, np.where(rng.random(18) < 0.7, labels, 1 - labels))
+    seeds = X[rng.integers(18, size=12)]
+    cfg = cfg_for(12, min_clusters=1)
+    monkeypatch.setattr(clustering, "_STALE_CHUNK", chunk)
+    for lam in (0.0, 5.0):
+        model = logan_fit(d, cfg, lam, initial_centroids=seeds)
+        fit = reference_lloyd if lam == 0.0 else reference_logan_fit
+        args = (d, seeds, cfg) if lam == 0.0 else (d, seeds, cfg, lam)
+        assign, centroids, trace, iterations, converged = fit(*args)
+        assert model.assignment.tolist() == np.asarray(assign).tolist()
+        assert model.centroids.tobytes() == centroids.tobytes()
+        assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
+        assert (model.iterations_run, model.converged) == (iterations, converged)
 
 
 def test_sequential_sweep_matches_batch_at_lambda_zero():

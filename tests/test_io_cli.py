@@ -318,6 +318,19 @@ def test_detect_missing_input_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_too_deeply_nested_line_is_named(planted_file, tmp_path, capsys):
+    """A JSON array nested past the decoder's recursion limit is one more
+    invalid line, named like the others."""
+    lines = planted_file.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "deep.jsonl"
+    write_lines(path, [*lines[:5], "[" * 100_000, *lines[5:]])
+    out = tmp_path / "report.json"
+    assert main(detect_args(path, out)) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 6: invalid JSON (")
+
+
 @pytest.mark.parametrize(
     "flag, value", [("lambdas", "nan"), ("lambdas", "inf"), ("bias_threshold", "nan")]
 )

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -9,10 +9,12 @@ from logan.metrics import (
     MetricKind,
     _auc_from_arrays,
     _average_ranks,
+    counts,
     global_bias,
     group_gaps,
     performance,
     random_split_baseline,
+    table_gaps,
 )
 from logan.synthetic import brute_force_auc
 
@@ -284,23 +286,23 @@ FIXED_ROWS = [
 ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(0, 3),
-            st.sampled_from("ab"),
-            st.integers(0, 1),
-            st.integers(0, 1),
-            # few distinct scores, so ties are frequent
-            st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
-        ),
-        max_size=60,
-    )
+# (cell, group, label, prediction, score) rows of a random partition
+PARTITION_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.sampled_from("ab"),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        # few distinct scores, so ties are frequent
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    ),
+    max_size=60,
 )
-def test_group_gaps_match_the_per_subset_reference_bitwise(rows):
+
+
+def partition_of(rows):
+    """The cell ids and dataset of ``rows`` plus ``FIXED_ROWS``."""
     rows = rows + FIXED_ROWS
-    cells = np.array([r[0] for r in rows])
     d = make_dataset(
         features=[[float(i)] for i in range(len(rows))],
         groups=[r[1] for r in rows],
@@ -308,6 +310,13 @@ def test_group_gaps_match_the_per_subset_reference_bitwise(rows):
         preds=[r[3] for r in rows],
         scores=[r[4] for r in rows],
     )
+    return np.array([r[0] for r in rows]), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(PARTITION_ROWS)
+def test_group_gaps_match_the_per_subset_reference_bitwise(rows):
+    cells, d = partition_of(rows)
     for kind in MetricKind:
         sizes, values = performance(d, cells, N_CELLS, kind)
         gaps = group_gaps(d, cells, N_CELLS, kind)
@@ -323,6 +332,31 @@ def test_group_gaps_match_the_per_subset_reference_bitwise(rows):
     assert gaps[6].n_group1 == gaps[6].n_group2 == 0
     assert gaps[4].perf_group2 is None or gaps[4].perf_group1 is None
     assert gaps[5].gap is None
+
+
+@seed(20201016)
+@settings(max_examples=200, deadline=None)
+@given(PARTITION_ROWS)
+def test_table_reads_the_group_gaps_of_the_rows_bitwise(rows):
+    """Accuracy and FPR read off the (cell, group, label, prediction)
+    table equal ``group_gaps`` on the rows; the table's columns count
+    (label, prediction) pairs in TN, FP, FN, TP order."""
+    cells, d = partition_of(rows)
+    flat = counts(d, cells, N_CELLS)
+    assert flat.shape == (N_CELLS, 4)
+    for j in range(N_CELLS):
+        member = cells == j
+        assert flat[j].tolist() == [
+            int(np.sum(member & (d.labels == label) & (d.preds == pred)))
+            for label in (0, 1)
+            for pred in (0, 1)
+        ]
+    table = counts(d, 2 * cells + d.group_codes, 2 * N_CELLS).reshape(N_CELLS, 2, 2, 2)
+    assert table.sum(axis=1).tolist() == flat.reshape(N_CELLS, 2, 2).tolist()
+    for kind in (MetricKind.ACCURACY, MetricKind.FPR):
+        assert repr(table_gaps(table, kind)) == repr(group_gaps(d, cells, N_CELLS, kind))
+    with pytest.raises(ValueError, match="auc is not read from counts"):
+        table_gaps(table, MetricKind.SUBGROUP_AUC)
 
 
 def reference_random_split(d, kind, runs, seed):

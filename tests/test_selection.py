@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 
 import logan
-from logan import cli, clustering, selection
+from logan import cli, clustering, metrics, postprocess, selection
 from logan.cli import main, run_detect
 from logan.clustering import kmeans_fit, kmeanspp_init
 from logan.data import LoganConfig, ValidationError
 from logan.io import write_jsonl
-from logan.postprocess import cluster_reports, compare, merge_small_clusters
+from logan.metrics import MetricKind
+from logan.postprocess import cluster_reports, cluster_table, compare, merge_small_clusters
 from logan.selection import grid_search
 from logan.synthetic import PlantedBiasSpec, generate
 
@@ -135,6 +136,7 @@ def assert_same_model(a, b):
 def assert_same_cell(a, b, dataset, cfg):
     assert repr(a.lam) == repr(b.lam)
     assert_same_model(a.model, b.model)
+    assert a.table.tobytes() == b.table.tobytes()
     assert repr(cluster_reports(a.model, dataset, cfg)) == repr(
         cluster_reports(b.model, dataset, cfg)
     )
@@ -286,6 +288,86 @@ def test_run_detect_builds_the_chosen_reports_once(monkeypatch, planted_file, la
     else:
         assert len(compared) == 1
         assert compared[0] is built[0]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        LoganConfig(k=8, min_clusters=5, seed=11),
+        # every cluster detectable, even one that lacks a group
+        LoganConfig(k=8, min_clusters=5, min_cluster_total=0, min_per_group=0, seed=2),
+        # no cluster detectable
+        LoganConfig(k=8, min_clusters=5, min_per_group=10_000, seed=3),
+    ],
+)
+def test_cell_summary_is_what_its_reports_derive(monkeypatch, cfg):
+    """Each cell's table is its merged model's count; its biased count and
+    maximum gap, read off the table, are those of the model's reports, as
+    a Python int and float; and reports read off the table equal reports
+    counted afresh, for every metric."""
+    d = generate(PlantedBiasSpec(n_per_component=60, seed=cfg.seed))
+    force_workers(monkeypatch, 1)
+    result = grid_search(d, cfg, [1.0, 5.0, 100.0])
+    kinds = tuple(MetricKind)
+    for cell in (result.baseline, *result.cells):
+        assert cell.table.shape == (cell.model.n_clusters, 2, 2, 2)
+        assert cell.table.tobytes() == cluster_table(cell.model, d).tobytes()
+        reports = cluster_reports(cell.model, d, cfg)
+        gaps = [r.gap[MetricKind.ACCURACY] for r in reports if r.detectable]
+        gaps = [g for g in gaps if g is not None]
+        assert type(cell.biased_count) is int and type(cell.max_gap) is float
+        assert cell.biased_count == sum(r.biased for r in reports)
+        assert repr(cell.max_gap) == repr(max(gaps, default=0.0))
+        assert repr(cluster_reports(cell.model, d, cfg, kinds, table=cell.table)) == repr(
+            cluster_reports(cell.model, d, cfg, kinds)
+        )
+
+
+@pytest.mark.parametrize("kinds", [(MetricKind.ACCURACY,), tuple(MetricKind)])
+def test_run_detect_counts_each_fitted_cell_once(monkeypatch, planted_file, kinds):
+    """One count per fitted cell (the baseline, 1 and 5) and none for the
+    chosen cell's reports, AUC among them or not; the two-cell counts of
+    the corpus gaps come before and those of the five accuracy random
+    splits after."""
+    calls = []
+    grids = []
+    count = metrics.counts
+    search = cli.grid_search
+
+    def counting(dataset, cells, n_cells):
+        calls.append((n_cells, np.array(cells)))
+        return count(dataset, cells, n_cells)
+
+    def searching(*args):
+        grids.append(search(*args))
+        return grids[-1]
+
+    force_workers(monkeypatch, 1)
+    for module in (metrics, postprocess):
+        monkeypatch.setattr(module, "counts", counting)
+    monkeypatch.setattr(cli, "grid_search", searching)
+    run_detect(planted_file, LoganConfig(seed=0), [1.0, 5.0], None, metrics=kinds)
+    (grid,) = grids
+    fitted = (grid.baseline, *grid.cells)
+    rated = sum(kind is not MetricKind.SUBGROUP_AUC for kind in kinds)
+    n_cells = [2 * c.model.n_clusters for c in fitted]
+    assert [n for n, _ in calls] == [*[2] * rated, *n_cells, *[2] * 5]
+    dataset = cli.load_dataset(planted_file)
+    for (_, cells), cell in zip(calls[rated : rated + 3], fitted):
+        assert cells.tolist() == (2 * cell.model.assignment + dataset.group_codes).tolist()
+
+
+def test_reports_reject_a_table_of_another_shape():
+    """A table must be the model's ``(k, 2, 2, 2)`` count: one of another
+    model with fewer clusters, or a flat one, is refused."""
+    d = generate(PlantedBiasSpec(n_per_component=60, seed=11))
+    cfg = LoganConfig(k=6, min_clusters=1, seed=11)
+    model = kmeans_fit(d, cfg)
+    other = kmeans_fit(d, LoganConfig(k=5, min_clusters=1, seed=11))
+    table = cluster_table(model, d)
+    for wrong in (cluster_table(other, d), table.reshape(-1, 4)):
+        with pytest.raises(ValueError, match=r"^table must have shape \(6, 2, 2, 2\), got"):
+            cluster_reports(model, d, cfg, table=wrong)
 
 
 def test_run_detect_rejects_an_empty_grid(planted_file):
