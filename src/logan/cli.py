@@ -26,12 +26,10 @@ from .data import LoganConfig, ValidationError, standardize_features
 from .io import (
     AuditReport,
     LoadError,
-    cluster_report_to_dict,
-    comparison_to_dict,
     emit_plot_data,
     file_sha256,
-    gap_result_to_dict,
     load_dataset,
+    to_plain,
     write_jsonl,
 )
 from .metrics import MetricKind, global_bias, random_split_baseline
@@ -96,12 +94,11 @@ def run_detect(
     if standardize:
         dataset = standardize_features(dataset)
     # before any fit, so a row without the score an AUC needs fails fast
-    global_gaps = {
-        kind.value: gap_result_to_dict(global_bias(dataset, kind)) for kind in metrics
-    }
+    global_gaps = {kind: global_bias(dataset, kind) for kind in metrics}
 
+    detect = lambdas is not None
     # the weight-0 cell is the k-means baseline; baseline mode audits it alone
-    grid = grid_search(dataset, cfg, [0.0] if lambdas is None else lambdas)
+    grid = grid_search(dataset, cfg, lambdas if detect else [0.0])
     has_text = all(text is not None for text in dataset.texts)
     reports = cluster_reports(
         grid.chosen.model,
@@ -112,39 +109,38 @@ def run_detect(
         table=grid.chosen.table,
     )
     comparison = None
-    if lambdas is not None:
-        comparison = comparison_to_dict(
-            compare(grid.chosen.model, grid.baseline.model, dataset, reports)
-        )
-
-    config_echo: dict[str, Any] = cfg.to_dict()
-    config_echo["standardize"] = standardize
-    config_echo["lambdas"] = list(lambdas) if lambdas is not None else None
-    config_echo["chosen_lambda"] = grid.chosen_lambda if lambdas is not None else None
-    config_echo["metrics"] = [m.value for m in metrics]
-    config_echo["groups"] = list(dataset.groups)
-    config_echo["mode"] = "detect" if lambdas is not None else "baseline"
+    if detect:
+        comparison = compare(grid.chosen.model, grid.baseline.model, dataset, reports)
 
     mean_gap, std_gap = random_split_baseline(dataset, MetricKind.ACCURACY, seed=cfg.seed)
-    report = AuditReport(
-        config=config_echo,
-        global_gaps=global_gaps,
-        random_split={
-            "metric": MetricKind.ACCURACY.value,
+    sections = {
+        "config": {
+            **to_plain(cfg),
+            "standardize": standardize,
+            "lambdas": check_grid(lambdas) if detect else None,
+            "chosen_lambda": grid.chosen_lambda if detect else None,
+            "metrics": metrics,
+            "groups": dataset.groups,
+            "mode": "detect" if detect else "baseline",
+        },
+        "global_gaps": global_gaps,
+        "random_split": {
+            "metric": MetricKind.ACCURACY,
             "runs": _SPLIT_DEFAULTS["runs"],
             "mean": mean_gap,
             "std": std_gap,
         },
-        clusters=[cluster_report_to_dict(r) for r in reports],
-        comparison=comparison,
-        provenance={
+        "clusters": reports,
+        "comparison": comparison,
+        "provenance": {
             "input": str(input_path),
             "input_sha256": file_sha256(input_path),
             "seed": cfg.seed,
             "version": __version__,
             "created_at": datetime.now(timezone.utc).isoformat(),
         },
-    )
+    }
+    report = AuditReport(**to_plain(sections))
     if output_path is not None:
         report.save(output_path)
     if plot_path is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -102,9 +102,6 @@ class LoganConfig:
             )
         if self.min_cluster_total < 0 or self.min_per_group < 0:
             raise ValidationError("count thresholds must be >= 0")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _check_binary(value: Any, name: str, row_id: str) -> int:

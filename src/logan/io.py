@@ -3,8 +3,13 @@
 JSONL is the primary dataset format (one object per line with ``id``,
 ``features``, ``group``, ``label``, ``pred`` and optional ``score`` and
 ``text``); CSV carries the same columns with features split across
-``f0..f{d-1}``.  Reports serialize to JSON with full float precision so a
-report round-trips byte-identically.
+``f0..f{d-1}``.
+
+The report dataclasses are the report schema: ``to_plain`` turns a
+``GapResult``, ``ClusterReport``, ``ComparisonReport`` or ``LoganConfig``
+into JSON data whose keys are its field names, and ``AuditReport``
+serializes that data with full float precision, so a report round-trips
+byte-identically.
 """
 
 from __future__ import annotations
@@ -14,13 +19,12 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .data import Dataset, DatasetBuilder, ValidationError
-from .metrics import GapResult
-from .postprocess import ClusterReport, ComparisonReport
 
 
 class LoadError(ValueError):
@@ -198,53 +202,40 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _clean_float(value: float | None) -> float | None:
-    if value is None:
-        return None
-    value = float(value)
-    if math.isnan(value):
+def to_plain(value: Any) -> Any:
+    """``value`` as plain JSON data; the one place the report format lives.
+
+    A dataclass becomes the dict of its fields in declaration order, less
+    any field that holds its ``None`` default; an ``Enum`` (a dict key
+    too) becomes its value, a tuple a list, and NaN ``None``.
+    """
+    if is_dataclass(value):
+        return {
+            f.name: to_plain(getattr(value, f.name))
+            for f in fields(value)
+            if f.default is not None or getattr(value, f.name) is not None
+        }
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {to_plain(key): to_plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_plain(item) for item in value]
+    if isinstance(value, float) and math.isnan(value):
         return None
     return value
 
 
-def gap_result_to_dict(result: GapResult) -> dict[str, Any]:
-    return {
-        "perf_group1": _clean_float(result.perf_group1),
-        "perf_group2": _clean_float(result.perf_group2),
-        "gap": _clean_float(result.gap),
-        "n_group1": result.n_group1,
-        "n_group2": result.n_group2,
-    }
-
-
-def cluster_report_to_dict(report: ClusterReport) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "cluster_id": report.cluster_id,
-        "n_group1": report.n_group1,
-        "n_group2": report.n_group2,
-        "perf_group1": {k.value: _clean_float(v) for k, v in report.perf_group1.items()},
-        "perf_group2": {k.value: _clean_float(v) for k, v in report.perf_group2.items()},
-        "gap": {k.value: _clean_float(v) for k, v in report.gap.items()},
-        "detectable": report.detectable,
-        "biased": report.biased,
-    }
-    if report.top_tokens is not None:
-        out["top_tokens"] = list(report.top_tokens)
-    return out
-
-
-def comparison_to_dict(report: ComparisonReport) -> dict[str, Any]:
-    out = asdict(report)
-    out["inertia_ratio"] = _clean_float(report.inertia_ratio)
-    out["mean_abs_bias"] = _clean_float(report.mean_abs_bias)
-    return out
-
-
 @dataclass(frozen=True)
 class AuditReport:
-    """Full audit output: config echo, global gaps, per-cluster reports,
-    baseline comparison and provenance.  All sections hold plain
-    JSON-compatible values, so serialization is lossless by construction."""
+    """Full audit output: config echo, global gaps, random-split baseline,
+    per-cluster reports, baseline comparison and provenance.
+
+    Each section holds the ``to_plain`` data of its source values: a
+    ``global_gaps`` entry has the fields of a ``GapResult``, a ``clusters``
+    entry those of a ``ClusterReport`` and ``comparison`` those of a
+    ``ComparisonReport``, so serialization is lossless by construction.
+    """
 
     config: dict[str, Any]
     global_gaps: dict[str, Any]
@@ -253,33 +244,12 @@ class AuditReport:
     comparison: dict[str, Any] | None
     provenance: dict[str, Any]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "config": self.config,
-            "global_gaps": self.global_gaps,
-            "random_split": self.random_split,
-            "clusters": self.clusters,
-            "comparison": self.comparison,
-            "provenance": self.provenance,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "AuditReport":
-        return cls(
-            config=data["config"],
-            global_gaps=data["global_gaps"],
-            random_split=data["random_split"],
-            clusters=data["clusters"],
-            comparison=data["comparison"],
-            provenance=data["provenance"],
-        )
+        return json.dumps(vars(self), indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "AuditReport":
-        return cls.from_dict(json.loads(text))
+        return cls(**json.loads(text))
 
     def n_biased_clusters(self) -> int:
         return sum(1 for c in self.clusters if c["biased"])

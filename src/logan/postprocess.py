@@ -45,9 +45,6 @@ class ClusterReport:
     def size(self) -> int:
         return self.n_group1 + self.n_group2
 
-    def accuracy_gap(self) -> float | None:
-        return self.gap.get(MetricKind.ACCURACY)
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -264,14 +261,13 @@ def compare(
     biased = [r for r in detectable if r.biased]
     n_inst_detectable = sum(r.size for r in detectable)
     n_inst_biased = sum(r.size for r in biased)
-    gaps = [r.accuracy_gap() for r in biased]
+    # bias_flags gives every biased cluster an accuracy gap
+    gaps = [r.gap[MetricKind.ACCURACY] for r in biased]
     return ComparisonReport(
         inertia_ratio=ratio,
         bcr=len(biased) / len(detectable) if detectable else 0.0,
         bir=n_inst_biased / n_inst_detectable if n_inst_detectable else 0.0,
-        mean_abs_bias=float(np.mean([g for g in gaps if g is not None]))
-        if gaps
-        else None,
+        mean_abs_bias=float(np.mean(gaps)) if gaps else None,
         n_clusters=len(reports),
         n_detectable=len(detectable),
         n_biased=len(biased),

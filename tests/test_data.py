@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -310,4 +311,4 @@ def test_config_invariants():
 
 def test_config_to_dict_round_trip():
     cfg = LoganConfig(k=7, seed=11, bias_threshold=0.1)
-    assert LoganConfig(**cfg.to_dict()) == cfg
+    assert LoganConfig(**asdict(cfg)) == cfg

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import enum
 import hashlib
 import io
 import json
@@ -27,9 +28,11 @@ from logan.io import (
     load_csv,
     load_dataset,
     load_jsonl,
+    to_plain,
     write_jsonl,
 )
-from logan.metrics import MetricKind, random_split_baseline
+from logan.metrics import GapResult, MetricKind, random_split_baseline
+from logan.postprocess import ClusterReport, ComparisonReport
 from logan.synthetic import PlantedBiasSpec, generate
 
 from helpers import assert_same_dataset
@@ -645,6 +648,64 @@ def test_run_detect_library_entry(planted_file, tmp_path):
     assert (tmp_path / "r.json").exists()
 
 
+def test_run_detect_echoes_the_checked_grid(planted_file, tmp_path):
+    """A numpy int grid is echoed as the floats that were fitted."""
+    report = run_detect(planted_file, LoganConfig(seed=0), np.array([1, 5]), tmp_path / "r.json")
+    assert report.config["lambdas"] == [1.0, 5.0]
+    assert all(type(lam) is float for lam in report.config["lambdas"])
+    assert AuditReport.load(tmp_path / "r.json") == report
+
+
+def field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def test_report_keys_are_the_dataclass_fields(planted_file, tmp_path):
+    out = tmp_path / "report.json"
+    main(detect_args(planted_file, out, metrics="accuracy,auc,fpr"))
+    report = json.loads(out.read_text(encoding="utf-8"))
+    cluster_fields = [name for name in field_names(ClusterReport) if name != "top_tokens"]
+    assert report["clusters"]
+    for cluster in report["clusters"]:
+        assert list(cluster) == cluster_fields
+    assert list(report["comparison"]) == field_names(ComparisonReport)
+    assert list(report["global_gaps"]) == ["accuracy", "auc", "fpr"]
+    for gap in report["global_gaps"].values():
+        assert list(gap) == field_names(GapResult)
+
+
+class Colour(enum.Enum):
+    RED = "red"
+
+
+@dataclasses.dataclass
+class Sample:
+    by_colour: dict
+    pair: tuple
+    ratio: float
+    required: object
+    optional: object = None
+    present: object = None
+
+
+def test_to_plain_converts_a_dataclass():
+    sample = Sample(
+        by_colour={Colour.RED: math.nan},
+        pair=(1, Colour.RED),
+        ratio=math.nan,
+        required=None,
+        present=(0.5,),
+    )
+    assert to_plain(sample) == {
+        "by_colour": {"red": None},
+        "pair": [1, "red"],
+        "ratio": None,
+        "required": None,
+        "present": [0.5],
+    }
+    assert list(to_plain(sample)) == ["by_colour", "pair", "ratio", "required", "present"]
+
+
 def test_detect_emits_top_tokens_when_text_present(tmp_path):
     path = tmp_path / "texty.jsonl"
     words = ["apple banana", "carrot dill", "eggplant fig", "grape honey"]
@@ -657,6 +718,7 @@ def test_detect_emits_top_tokens_when_text_present(tmp_path):
     main(detect_args(path, out, k=4, min_clusters=2))
     report = AuditReport.load(out)
     assert all("top_tokens" in c for c in report.clusters)
+    assert all(list(c) == field_names(ClusterReport) for c in report.clusters)
     assert any(c["top_tokens"] for c in report.clusters)
 
 

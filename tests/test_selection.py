@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -225,11 +226,11 @@ def test_detect_fits_nothing_in_the_calling_process(monkeypatch, planted_file):
     cfg = LoganConfig(seed=0)
     grid = [1.0, 5.0, 10.0, 100.0]
     force_workers(monkeypatch, 1)
-    serial = run_detect(planted_file, cfg, grid, None).to_dict()
+    serial = asdict(run_detect(planted_file, cfg, grid, None))
     force_workers(monkeypatch, 2)
     patch_fit(monkeypatch, in_worker_only)
     monkeypatch.setattr(clustering, "logan_fit", in_worker_only(clustering.logan_fit))
-    pooled = run_detect(planted_file, cfg, grid, None).to_dict()
+    pooled = asdict(run_detect(planted_file, cfg, grid, None))
     for report in (serial, pooled):
         report["provenance"].pop("created_at")
     assert repr(pooled) == repr(serial)
