@@ -33,9 +33,10 @@ from .io import (
     write_jsonl,
 )
 from .metrics import MetricKind, global_bias, random_split_baseline
-from .postprocess import cluster_reports, compare
+from .postprocess import cluster_reports, compare, tokenize
 from .selection import check_grid, grid_search
 from .synthetic import PlantedBiasSpec, generate
+from .workers import ForkMap
 
 # runs and seed of the random-split baseline, owned by its signature
 _SPLIT_DEFAULTS = {
@@ -88,7 +89,10 @@ def run_detect(
     against a k-means baseline); with ``lambdas=None`` it audits the plain
     k-means clustering only, the grid's weight-0 cell on its own.  The
     chosen cell's reports are built once, for the report and the
-    comparison alike.  ``standardize`` z-scores the features first.
+    comparison alike.  ``standardize`` z-scores the features first.  When
+    every row has text, the texts are tokenized in a forked child while
+    the grid runs (see ``logan.workers``); do not call this from a
+    multi-threaded program.
     """
     dataset = load_dataset(input_path, fmt)
     if standardize:
@@ -97,9 +101,12 @@ def run_detect(
     global_gaps = {kind: global_bias(dataset, kind) for kind in metrics}
 
     detect = lambdas is not None
-    # the weight-0 cell is the k-means baseline; baseline mode audits it alone
-    grid = grid_search(dataset, cfg, lambdas if detect else [0.0])
     has_text = all(text is not None for text in dataset.texts)
+    # the texts are tokenized in a forked child while the grid runs
+    with ForkMap(tokenize, [dataset.texts] if has_text else [], parent_works=True) as tokens:
+        # the weight-0 cell is the k-means baseline; baseline mode audits it alone
+        grid = grid_search(dataset, cfg, lambdas if detect else [0.0])
+        tokenized = tokens()
     reports = cluster_reports(
         grid.chosen.model,
         dataset,
@@ -107,6 +114,7 @@ def run_detect(
         kinds=tuple(metrics),
         top_tokens=_TOP_TOKENS if has_text else 0,
         table=grid.chosen.table,
+        tokens=tokenized[0] if has_text else None,
     )
     comparison = None
     if detect:

@@ -220,6 +220,22 @@ class DatasetBuilder:
         self._features.extend(feats)
         self._rows.append((rid, group, label, pred, score, text))
 
+    def extend(self, other: DatasetBuilder) -> None:
+        """Append the records of ``other``, as if added here one by one.
+        Raises ValidationError, and changes nothing, when the two disagree
+        on the feature dimension or share an id."""
+        if None not in (self._dim, other._dim) and self._dim != other._dim:
+            raise ValidationError(
+                f"records have {other._dim} features, expected {self._dim}"
+            )
+        if not self._seen_ids.isdisjoint(other._seen_ids):
+            raise ValidationError("the records share an instance id")
+        if self._dim is None:
+            self._dim = other._dim
+        self._seen_ids |= other._seen_ids
+        self._features.extend(other._features)
+        self._rows.extend(other._rows)
+
     def finish(self) -> Dataset:
         """Assemble the Dataset; group order is canonicalized
         lexicographically.  Raises ValidationError on zero records or a

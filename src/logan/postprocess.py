@@ -10,6 +10,7 @@ cluster is *detectable* when both groups clear ``min_per_group`` and
 from __future__ import annotations
 
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -131,6 +132,32 @@ def merge_small_clusters(
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
 
+@dataclass(frozen=True)
+class TokenIds:
+    """Every row's tokens as ids into ``vocabulary``: ``ids`` holds the
+    tokens of row 0, then those of row 1, and so on, and ``lengths[i]`` is
+    the number of tokens of row i (0 for a row without text)."""
+
+    vocabulary: tuple[str, ...]
+    ids: np.ndarray
+    lengths: np.ndarray
+
+
+def tokenize(texts: Sequence[str | None]) -> TokenIds:
+    """The ``TokenIds`` of ``texts``: a token is a run of ``[a-z0-9']`` in
+    a lowercased text, and ids are numbered in order of first appearance."""
+    vocabulary: dict[str, int] = {}
+    ids = array("i")
+    lengths = array("i")
+    for text in texts:
+        tokens = _TOKEN_RE.findall(text.lower()) if text is not None else []
+        lengths.append(len(tokens))
+        ids.extend([vocabulary.setdefault(token, len(vocabulary)) for token in tokens])
+    return TokenIds(
+        tuple(vocabulary), np.frombuffer(ids, dtype=np.intc), np.frombuffer(lengths, dtype=np.intc)
+    )
+
+
 def interpret_cluster(
     cluster_counts: Counter[str],
     corpus_counts: Counter[str],
@@ -179,6 +206,7 @@ def cluster_reports(
     kinds: Sequence[MetricKind] = (MetricKind.ACCURACY,),
     top_tokens: int = 0,
     table: np.ndarray | None = None,
+    tokens: TokenIds | None = None,
 ) -> list[ClusterReport]:
     """One report per cluster of a (typically merged) model.
 
@@ -187,7 +215,10 @@ def cluster_reports(
     the model's ``cluster_table`` (``ValueError`` on a wrong shape),
     counted here when not given.  When ``top_tokens`` > 0 and a cluster
     carries text, the report includes the cluster's most over-represented
-    tokens.
+    tokens, counted from ``tokens``, the ``tokenize`` of the dataset's
+    texts (``ValueError`` when it covers another number of rows),
+    tokenized here when not given.  The count is one ``bincount`` over
+    (cluster, token id), of k times the vocabulary size.
     """
     wanted = list(dict.fromkeys([MetricKind.ACCURACY, *kinds]))
     k = model.n_clusters
@@ -201,19 +232,26 @@ def cluster_reports(
         else table_gaps(table, kind)
         for kind in wanted
     }
-    # Token counts of each cluster's texts, None where no member has text.
-    # "\n" is no token character, so joining the texts keeps their tokens
-    # apart, and each row sits in one cluster, so the cluster counts add up
-    # to the corpus counts.
+    # token counts of each cluster's texts, None where no member has text
     token_counts: list[Counter[str] | None] = [None] * k
     corpus_counts: Counter[str] = Counter()
     if top_tokens > 0:
-        for j in range(k):
-            texts = [dataset.texts[i] for i in np.flatnonzero(model.assignment == j).tolist()]
-            texts = [text for text in texts if text is not None]
-            if texts:
-                token_counts[j] = Counter(_TOKEN_RE.findall("\n".join(texts).lower()))
-                corpus_counts.update(token_counts[j])
+        if tokens is None:
+            tokens = tokenize(dataset.texts)
+        elif len(tokens.lengths) != dataset.n:
+            raise ValueError(f"tokens must cover {dataset.n} rows, got {len(tokens.lengths)}")
+        vocabulary = tokens.vocabulary
+        size = len(vocabulary)
+        # one (cluster, token id) key per token
+        keys = np.repeat(model.assignment * size, tokens.lengths)
+        keys += tokens.ids
+        per_cluster = np.bincount(keys, minlength=k * size).reshape(k, size)
+        corpus_counts = Counter(dict(zip(vocabulary, per_cluster.sum(axis=0).tolist())))
+        with_text = [text is not None for text in dataset.texts]
+        for j in np.unique(model.assignment[with_text]).tolist():
+            (present,) = np.nonzero(per_cluster[j])
+            names = [vocabulary[t] for t in present.tolist()]
+            token_counts[j] = Counter(dict(zip(names, per_cluster[j, present].tolist())))
     reports = []
     for j, accuracy in enumerate(results[MetricKind.ACCURACY]):
         detectable, biased = bias_flags(accuracy, cfg)

@@ -16,22 +16,22 @@ Each distinct weight is fitted once: a grid holding 0 reuses the baseline
 cell, and a repeated weight reuses its first cell.
 
 The cells share nothing but their inputs, so they run concurrently in
-worker processes forked from the caller, one per usable CPU (at most one
-per cell).  The workers inherit the dataset, config and seeds through the
-fork; only each weight goes to a worker and only each finished cell comes
-back.  Every cell runs the same code on the same inputs as in the caller,
-so the results are bit-identical to fitting the cells one after another,
-which is what happens when there is one usable CPU or one cell, when the
-platform cannot fork, or when the caller is a daemonic process (which may
-not have children).  Forking a process that runs other threads can leave
-a lock held in the child forever, so do not call ``grid_search`` from a
-multi-threaded program.
+worker processes forked from the caller by ``logan.workers.ForkMap``, one
+per usable CPU (at most one per cell).  The workers inherit the dataset,
+config and seeds through the fork; only each weight's index goes to a
+worker and only each finished cell comes back.  Every cell runs the same
+code on the same inputs as in the caller, so the results are bit-identical
+to fitting the cells one after another, which is what happens when there
+is one usable CPU or one cell, when the platform cannot fork, or when the
+caller is a daemonic process (which may not have children).  Forking a
+process that runs other threads can leave a lock held in the child
+forever, so do not call ``grid_search`` from a multi-threaded program.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -84,33 +84,19 @@ def grid_search(
     cells run in forked worker processes (see the module docstring); an
     exception raised by a cell is raised here, that of the baseline first
     and then of the first failing cell in grid order, and a worker that
-    dies raises ``concurrent.futures.process.BrokenProcessPool``, a
-    ``RuntimeError``.  The grid passes ``check_grid`` before any fit.
+    dies raises ``RuntimeError``.  The grid passes ``check_grid`` before
+    any fit.
     """
     grid = check_grid(lambdas)
     if initial_centroids is None:
         initial_centroids = clustering.kmeanspp_init(dataset, cfg.k, cfg.seed)
     # the baseline first, so it is fitted (and fails) first
     weights = list(dict.fromkeys([0.0, *grid]))
-    workers = _worker_count(len(weights))
-    context = _fork_context() if workers > 1 else None
-    if context is None:
-        fitted = [_fit_cell(dataset, cfg, initial_centroids, lam) for lam in weights]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    # imported here, so that importing logan loads no worker code
+    from .workers import ForkMap
 
-        pool = ProcessPoolExecutor(
-            workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(dataset, cfg, initial_centroids),
-        )
-        try:
-            fitted = list(pool.map(_worker_cell, weights))
-        finally:
-            # after a failed cell, start none of the later ones, as the
-            # in-process loop would not
-            pool.shutdown(cancel_futures=True)
+    with ForkMap(partial(_fit_cell, dataset, cfg, initial_centroids), weights) as results:
+        fitted = results()
     by_weight = dict(zip(weights, fitted))
     # each entry keeps its own weight, so a -0.0 entry still reads -0.0
     cells = [replace(by_weight[lam], lam=lam) for lam in grid]
@@ -141,43 +127,3 @@ def _fit_cell(
     flagged = [(r.gap, *bias_flags(r, cfg)) for r in table_gaps(table, MetricKind.ACCURACY)]
     gaps = [gap for gap, detectable, _ in flagged if detectable and gap is not None]
     return GridCell(lam, model, table, sum(b for _, _, b in flagged), max(gaps, default=0.0))
-
-
-def _worker_count(n_cells: int) -> int:
-    """One worker per CPU this process may run on, at most one per cell."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(n_cells, cpus)
-
-
-def _fork_context():
-    """The fork start method's context, or None where workers cannot be
-    forked here.  Fork, not the platform default: a spawned or forkserver
-    worker would import logan afresh and receive a pickled copy of the
-    dataset."""
-    import multiprocessing
-
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return None
-    return multiprocessing.get_context("fork")
-
-
-# The inputs every cell of a worker process shares, set once per worker by
-# _init_worker.  Under fork, initargs are inherited, not pickled.
-_worker_inputs: tuple = ()
-
-
-def _init_worker(
-    dataset: Dataset, cfg: LoganConfig, initial_centroids: np.ndarray | None
-) -> None:
-    global _worker_inputs
-    _worker_inputs = (dataset, cfg, initial_centroids)
-
-
-def _worker_cell(lam: float) -> GridCell:
-    return _fit_cell(*_worker_inputs, lam)

@@ -4,6 +4,7 @@ references the fast solver paths are checked against."""
 from __future__ import annotations
 
 import math
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ from sys import intern
 from typing import Any, Mapping, Sequence
 
 import numpy as np
+import pytest
 from scipy.spatial.distance import cdist
 
 from logan.clustering import (
@@ -21,6 +23,7 @@ from logan.clustering import (
     _term,
 )
 from logan.data import Dataset, LoganConfig, ValidationError, build_dataset
+from logan.io import _parse_jsonl
 from logan.metrics import GapResult, MetricKind, _auc_from_arrays
 
 
@@ -60,6 +63,18 @@ def assert_same_dataset(actual: Dataset, expected: Dataset) -> None:
         assert np.array_equal(a, b), name
     assert actual.scores.tobytes() == expected.scores.tobytes()
     assert actual.texts == expected.texts
+
+
+def serial_load_jsonl(path) -> Dataset:
+    """The one-pass JSONL loader that ``load_jsonl`` falls back to."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return _parse_jsonl(fh).finish()
+
+
+def assert_no_child_left() -> None:
+    """This process has no child, running or unreaped, of any kind."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def random_dataset(

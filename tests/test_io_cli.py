@@ -18,9 +18,11 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import logan
+import logan.io
 
+from logan import workers
 from logan.cli import _from_args, build_parser, main, run_detect
-from logan.data import LoganConfig
+from logan.data import LoganConfig, ValidationError, build_dataset
 from logan.io import (
     AuditReport,
     LoadError,
@@ -35,7 +37,7 @@ from logan.metrics import GapResult, MetricKind, random_split_baseline
 from logan.postprocess import ClusterReport, ComparisonReport
 from logan.synthetic import PlantedBiasSpec, generate
 
-from helpers import assert_same_dataset
+from helpers import assert_no_child_left, assert_same_dataset, serial_load_jsonl
 
 
 def jsonl_line(i, **overrides):
@@ -250,6 +252,137 @@ def test_invalid_utf8_names_its_line(tmp_path, suffix):
     with pytest.raises(LoadError, match="^line 3: byte 0xff is not valid UTF-8$") as err:
         load_dataset(path, suffix[1:])
     assert err.value.line == 3
+
+
+# ----------------------------------------------- the JSONL load in two halves
+
+def load_outcome(load, path):
+    """The dataset ``load(path)`` returns, or the type, text and line of
+    the error it raises."""
+    try:
+        return load(path)
+    except (LoadError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def assert_same_outcome(path):
+    split, serial = load_outcome(load_jsonl, path), load_outcome(serial_load_jsonl, path)
+    if isinstance(serial, tuple):
+        assert split == serial
+    else:
+        assert_same_dataset(split, serial)
+    return split
+
+
+# Raw in a JSON string (json.dumps escapes the control characters): U+2028
+# and NEL, which str.splitlines splits on and universal newlines do not.
+_VALUE_CHARS = "ab \t\f\x1c \x85\r\n\"\\\N{LATIN SMALL LETTER E WITH ACUTE}"
+# Lines that hold only whitespace, \f and \x1c among it, raw.
+_BLANK_LINES = ["", " ", "\t", "\f", "\x1c", "  ", "\x1c\f "]
+
+
+@st.composite
+def jsonl_files(draw):
+    """(file text, rows): 1-40 valid rows in two groups, one line each with
+    LF, CRLF or lone-CR endings, blank and whitespace-only lines between
+    them, and a final line ending or none."""
+    n = draw(st.integers(1, 40))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = []
+    for i in range(n):
+        row = {
+            "id": f"r{i}",
+            "features": [draw(finite), draw(st.integers(-5, 5))],
+            "group": "a" if i % 2 == 0 else "b ",
+            "label": draw(st.integers(0, 1)),
+            "pred": draw(st.integers(0, 1)),
+        }
+        if draw(st.booleans()):
+            row["score"] = draw(st.floats(0.0, 1.0))
+        if draw(st.booleans()):
+            row["text"] = draw(st.text(alphabet=_VALUE_CHARS, max_size=8))
+        rows.append(row)
+    ending = st.sampled_from(["\n", "\r\n", "\r"])
+    parts = []
+    for row in rows:
+        for blank in draw(st.lists(st.sampled_from(_BLANK_LINES), max_size=2)):
+            parts.append(blank + draw(ending))
+        parts.append(json.dumps(row, ensure_ascii=False) + draw(ending))
+    text = "".join(parts)
+    if not draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(jsonl_files(), st.sampled_from([1, 2]))
+def test_split_load_is_the_serial_load(drawn, cpus):
+    """The two halves of a valid file parse without the one-pass fallback,
+    and the load returns exactly what one pass over the file returns,
+    which holds the rows as written."""
+    text, rows = drawn
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workers, "usable_cpus", lambda: cpus)
+        path = Path(tmp) / "data.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        split = logan.io._split_offset(path) is not None
+        event(f"split: {split}")
+        # a valid file loads without the one-pass fallback
+        assert (logan.io._load_halves(path) is not None) == split
+        loaded = assert_same_outcome(path)
+        if len(rows) > 1:
+            assert_same_dataset(loaded, build_dataset(rows))
+        assert_no_child_left()
+
+
+def _padded_lines(n, width=100):
+    """n valid rows, each padded with spaces to ``width`` bytes with its
+    line feed, so a same-width edit keeps the split where it was."""
+    return [jsonl_line(i, text="cafe").ljust(width - 1) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "defect",
+    ["bad row in the head", "bad row in the tail", "id repeated across the halves",
+     "new dimension at the first tail row", "non-UTF-8 byte in the tail"],
+)
+def test_split_load_errors_are_the_serial_errors(tmp_path, monkeypatch, defect):
+    """Each half's error, and each conflict between the halves, is raised
+    with the text and line of one pass over the file, and leaves no child."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    path = tmp_path / "data.jsonl"
+    lines = _padded_lines(40)
+    write_lines(path, lines)
+    split = logan.io._split_offset(path)
+    first = path.read_bytes()[:split].count(b"\n")  # index of the tail's first line
+    assert 10 < first < 30
+    width = len(lines[0])
+    edits = {
+        "bad row in the head": (3, "{not json"),
+        "bad row in the tail": (first + 2, "[1, 2]"),
+        "id repeated across the halves": (first + 5, jsonl_line(first + 5, id="x1")),
+        "new dimension at the first tail row": (first, jsonl_line(first, features=[1.0] * 3)),
+        "non-UTF-8 byte in the tail": (first + 1, lines[first + 1].replace("cafe", "caf\x00")),
+    }
+    index, line = edits[defect]
+    lines[index] = line.ljust(width)
+    data = ("\n".join(lines) + "\n").encode("utf-8").replace(b"caf\x00", b"caf\xff")
+    path.write_bytes(data)
+    assert logan.io._split_offset(path) == split
+    outcome = assert_same_outcome(path)
+    assert outcome[0] is LoadError and outcome[2] == index + 1
+    assert_no_child_left()
+
+
+def test_head_error_while_the_tail_is_parsed_leaves_no_child(tmp_path, monkeypatch):
+    """A bad first line fails the parent's half at once, while the child
+    still parses its half; the child is killed and reaped."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    path = tmp_path / "data.jsonl"
+    write_lines(path, ["{not json", *(jsonl_line(i, text="cafe " * 20) for i in range(4000))])
+    with pytest.raises(LoadError, match=r"^line 1: invalid JSON"):
+        load_jsonl(path)
+    assert_no_child_left()
 
 
 def test_load_csv_score_range(tmp_path):
@@ -860,21 +993,42 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_import_leaves_process_pools_unloaded():
-    """The grid's worker pool is imported when a grid runs, not before."""
+_POOL_PROBE = """
+import json, sys
+import logan
+from logan import cli, workers
+
+def pools():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
+
+seen = {"import": pools()}
+workers.usable_cpus = lambda: 2
+for command in ("detect", "baseline"):
+    code = cli.main([command, "--input", sys.argv[1], "--output", sys.argv[2]])
+    seen[command] = [code, pools()]
+print(json.dumps(seen))
+"""
+
+
+def test_import_leaves_process_pools_unloaded(tmp_path):
+    """Neither importing logan nor a two-worker detect or a baseline audit
+    of a text input imports a process pool."""
+    path = tmp_path / "texts.jsonl"
+    write_lines(path, [json.dumps(row) for row in _text_rows()])
     src = str(Path(logan.__file__).resolve().parents[1])
-    probe = (
-        "import logan, sys; print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", _POOL_PROBE, str(path), str(tmp_path / "report.json")],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    for command in ("detect", "baseline"):
+        code, loaded = seen[command]
+        assert code in (0, 2)
+        assert loaded == []
 
 
 # ------------------------------------------------------- CLI fuzz (bounded)

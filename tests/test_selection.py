@@ -2,13 +2,14 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 import logan
-from logan import cli, clustering, metrics, postprocess, selection
+from logan import cli, clustering, metrics, postprocess, selection, workers
 from logan.cli import main, run_detect
 from logan.clustering import kmeans_fit, kmeanspp_init
 from logan.data import LoganConfig, ValidationError
@@ -18,7 +19,7 @@ from logan.postprocess import cluster_reports, cluster_table, compare, merge_sma
 from logan.selection import grid_search
 from logan.synthetic import PlantedBiasSpec, generate
 
-from helpers import make_dataset, random_dataset
+from helpers import assert_no_child_left, make_dataset, random_dataset
 
 import pytest
 
@@ -112,7 +113,7 @@ def test_non_finite_seeds_are_rejected(monkeypatch, workers):
 # ------------------------------------------- cells in forked worker processes
 
 def force_workers(monkeypatch, n):
-    monkeypatch.setattr(selection, "_worker_count", lambda n_cells: n)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: n)
 
 
 def patch_fit(monkeypatch, wrap):
@@ -124,6 +125,15 @@ def patch_fit(monkeypatch, wrap):
 def planted_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "planted.jsonl"
     write_jsonl(generate(PlantedBiasSpec(n_per_component=80, seed=0)), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def text_file(tmp_path_factory):
+    d = generate(PlantedBiasSpec(n_per_component=80, seed=0))
+    path = tmp_path_factory.mktemp("data") / "texts.jsonl"
+    texts = tuple(f"row{i % 13} Tok{i % 7} shared" for i in range(d.n))
+    write_jsonl(replace(d, texts=texts), path)
     return path
 
 
@@ -396,7 +406,7 @@ def test_first_failing_cell_raises_its_exception(monkeypatch, workers):
     patch_fit(monkeypatch, failing_at(10.0, 5.0))
     with pytest.raises(ValueError, match=r"^cell lam=5\.0 failed$"):
         grid_search(d, cfg, [1.0, 5.0, 10.0, 100.0])
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_failing_cell_is_one_error_line_from_the_cli(monkeypatch, planted_file, tmp_path, capsys):
@@ -420,48 +430,83 @@ def test_failing_baseline_is_the_error_detect_prints(
     assert code == 1
     assert not out.exists()
     assert capsys.readouterr().err == "error: cell lam=0.0 failed\n"
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 _DYING_CELL = """
-import multiprocessing, os, sys
-from logan import cli, selection
+import os, sys, time
+from logan import cli, selection, workers
 fit = selection.logan_fit
+tokenize = cli.tokenize
 def dying_fit(dataset, cfg, lam, initial_centroids):
     if lam == 5.0:
         os._exit(7)
     return fit(dataset, cfg, lam, initial_centroids)
+def slow_tokenize(texts):
+    time.sleep(60)
+    return tokenize(texts)
 selection.logan_fit = dying_fit
-selection._worker_count = lambda n_cells: 2
+cli.tokenize = slow_tokenize
+workers.usable_cpus = lambda: 2
 code = cli.main(sys.argv[1:])
-print(len(multiprocessing.active_children()))
+try:
+    print(os.waitpid(-1, os.WNOHANG))
+except ChildProcessError:
+    print("no child")
 sys.exit(code)
 """
 
 
-def test_dead_worker_fails_the_audit(planted_file, tmp_path):
-    """A cell that kills its worker: exit 1, no hang, no leftover worker."""
+def test_dead_worker_fails_the_audit(text_file, tmp_path):
+    """A cell that kills its worker while the texts are still being
+    tokenized in another child: exit 1, no hang, no leftover child."""
     out = tmp_path / "report.json"
     src = str(Path(logan.__file__).resolve().parents[1])
+    started = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-c", _DYING_CELL, "detect", "--input", str(planted_file),
+        [sys.executable, "-c", _DYING_CELL, "detect", "--input", str(text_file),
          "--output", str(out)],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=120,
     )
+    assert time.monotonic() - started < 30  # the tokenizer sleeps 60 s
     assert proc.returncode == 1
-    assert proc.stdout == "0\n"
-    assert proc.stderr.startswith("error: A process in the process pool was terminated")
+    assert proc.stdout == "no child\n"
+    assert proc.stderr.startswith(
+        "error: a worker process ended without returning a result (exit code 7)\n"
+    )
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_dead_tokenizer_fails_the_audit(monkeypatch, text_file, tmp_path, capsys):
+    """A tokenizer child that dies: exit 1 with one error line, no report
+    and no leftover child."""
+    caller = os.getpid()
+
+    def dying(texts):
+        if os.getpid() == caller:
+            raise AssertionError("the texts were tokenized in the calling process")
+        os._exit(3)
+
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(cli, "tokenize", dying)
+    out = tmp_path / "report.json"
+    code = main(["baseline", "--input", str(text_file), "--output", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: a worker process ended without returning a result (exit code 3)\n"
+    )
+    assert_no_child_left()
 
 
 def test_run_detect_leaves_no_worker_behind(monkeypatch, planted_file):
     force_workers(monkeypatch, 2)
     run_detect(planted_file, LoganConfig(seed=0), [1.0, 5.0, 10.0], None)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def _grid_in_daemon(dataset, cfg):
