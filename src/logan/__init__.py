@@ -34,7 +34,6 @@ from .postprocess import (
     ComparisonReport,
     cluster_reports,
     compare,
-    interpret_cluster,
     merge_small_clusters,
 )
 from .selection import GridCell, GridResult, grid_search
@@ -68,7 +67,6 @@ __all__ = [
     "global_bias",
     "grid_search",
     "group_gaps",
-    "interpret_cluster",
     "kmeans_fit",
     "kmeanspp_init",
     "logan_fit",

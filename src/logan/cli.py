@@ -44,7 +44,6 @@ _SPLIT_DEFAULTS = {
     for name, p in inspect.signature(random_split_baseline).parameters.items()
     if p.default is not p.empty
 }
-_TOP_TOKENS = 10
 
 
 def _parse_metrics(raw: str) -> list[MetricKind]:
@@ -112,7 +111,6 @@ def run_detect(
         dataset,
         cfg,
         kinds=tuple(metrics),
-        top_tokens=_TOP_TOKENS if has_text else 0,
         table=grid.chosen.table,
         tokens=tokenized[0] if has_text else None,
     )

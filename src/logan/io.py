@@ -276,7 +276,10 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
             fh.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
-def file_sha256(path: str | Path) -> str:
+def file_sha256(path: str | Path) -> str | None:
+    """sha256 of a regular file; None for another file, which the load drained."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

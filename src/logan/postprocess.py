@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,6 +129,7 @@ def merge_small_clusters(
 
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
+_TOKENS_PER_CLUSTER = 10  # the most over-represented tokens a report names
 
 
 @dataclass(frozen=True)
@@ -158,34 +158,6 @@ def tokenize(texts: Sequence[str | None]) -> TokenIds:
     )
 
 
-def interpret_cluster(
-    cluster_counts: Counter[str],
-    corpus_counts: Counter[str],
-    top_n: int = 10,
-) -> tuple[str, ...]:
-    """Tokens most over-represented in a cluster relative to the corpus.
-
-    ``cluster_counts`` holds the token counts of the cluster's texts and
-    ``corpus_counts`` those of every text, the cluster's included.  Ranks
-    tokens by the ratio of within-cluster relative frequency to corpus
-    relative frequency; ties break lexicographically.  Raises ValueError
-    when the cluster holds no token.
-    """
-    if not cluster_counts:
-        raise ValueError("no cluster instance carries a text token")
-    cluster_total = sum(cluster_counts.values())
-    corpus_total = sum(corpus_counts.values())
-    ranked = sorted(
-        cluster_counts,
-        key=lambda tok: (
-            -(cluster_counts[tok] / cluster_total)
-            / (max(corpus_counts[tok], cluster_counts[tok]) / corpus_total),
-            tok,
-        ),
-    )
-    return tuple(ranked[:top_n])
-
-
 def cluster_table(model: ClusterModel, dataset: Dataset) -> np.ndarray:
     """The model's ``(k, 2, 2, 2)`` (cluster, group, label, prediction) count."""
     k = model.n_clusters
@@ -204,7 +176,6 @@ def cluster_reports(
     dataset: Dataset,
     cfg: LoganConfig,
     kinds: Sequence[MetricKind] = (MetricKind.ACCURACY,),
-    top_tokens: int = 0,
     table: np.ndarray | None = None,
     tokens: TokenIds | None = None,
 ) -> list[ClusterReport]:
@@ -213,12 +184,14 @@ def cluster_reports(
     The accuracy gap is always computed, since the biased flag depends on
     it; further requested metric kinds are added alongside.  ``table`` is
     the model's ``cluster_table`` (``ValueError`` on a wrong shape),
-    counted here when not given.  When ``top_tokens`` > 0 and a cluster
-    carries text, the report includes the cluster's most over-represented
-    tokens, counted from ``tokens``, the ``tokenize`` of the dataset's
-    texts (``ValueError`` when it covers another number of rows),
-    tokenized here when not given.  The count is one ``bincount`` over
-    (cluster, token id), of k times the vocabulary size.
+    counted here when not given.  ``tokens``, the ``tokenize`` of the
+    dataset's texts (``ValueError`` when it covers another number of
+    rows), gives every cluster with a member that has text its
+    ``top_tokens``; without it no cluster has them.  They are counted in
+    one ``bincount`` over (cluster, token id), of k times the vocabulary
+    size, and ranked by in-cluster over corpus relative frequency, ties
+    broken lexicographically: at most 10, and ``()`` for a cluster whose
+    texts hold no token.
     """
     wanted = list(dict.fromkeys([MetricKind.ACCURACY, *kinds]))
     k = model.n_clusters
@@ -232,13 +205,9 @@ def cluster_reports(
         else table_gaps(table, kind)
         for kind in wanted
     }
-    # token counts of each cluster's texts, None where no member has text
-    token_counts: list[Counter[str] | None] = [None] * k
-    corpus_counts: Counter[str] = Counter()
-    if top_tokens > 0:
-        if tokens is None:
-            tokens = tokenize(dataset.texts)
-        elif len(tokens.lengths) != dataset.n:
+    top_tokens: list[tuple[str, ...] | None] = [None] * k
+    if tokens is not None:
+        if len(tokens.lengths) != dataset.n:
             raise ValueError(f"tokens must cover {dataset.n} rows, got {len(tokens.lengths)}")
         vocabulary = tokens.vocabulary
         size = len(vocabulary)
@@ -246,23 +215,24 @@ def cluster_reports(
         keys = np.repeat(model.assignment * size, tokens.lengths)
         keys += tokens.ids
         per_cluster = np.bincount(keys, minlength=k * size).reshape(k, size)
-        corpus_counts = Counter(dict(zip(vocabulary, per_cluster.sum(axis=0).tolist())))
+        corpus = per_cluster.sum(axis=0).tolist()
+        corpus_total = sum(corpus)
         with_text = [text is not None for text in dataset.texts]
         for j in np.unique(model.assignment[with_text]).tolist():
-            (present,) = np.nonzero(per_cluster[j])
-            names = [vocabulary[t] for t in present.tolist()]
-            token_counts[j] = Counter(dict(zip(names, per_cluster[j, present].tolist())))
+            present = np.flatnonzero(per_cluster[j]).tolist()
+            count = per_cluster[j, present].tolist()
+            total = sum(count)
+            ranked = sorted(
+                zip(present, count),
+                key=lambda tc: (
+                    -(tc[1] / total) / (corpus[tc[0]] / corpus_total),
+                    vocabulary[tc[0]],
+                ),
+            )
+            top_tokens[j] = tuple(vocabulary[t] for t, _ in ranked[:_TOKENS_PER_CLUSTER])
     reports = []
     for j, accuracy in enumerate(results[MetricKind.ACCURACY]):
         detectable, biased = bias_flags(accuracy, cfg)
-        cluster_tokens = token_counts[j]
-        top: tuple[str, ...] | None = None
-        if cluster_tokens is not None:
-            top = (
-                interpret_cluster(cluster_tokens, corpus_counts, top_n=top_tokens)
-                if cluster_tokens
-                else ()
-            )
         reports.append(
             ClusterReport(
                 cluster_id=j,
@@ -273,7 +243,7 @@ def cluster_reports(
                 gap={kind: res[j].gap for kind, res in results.items()},
                 detectable=detectable,
                 biased=biased,
-                top_tokens=top,
+                top_tokens=top_tokens[j],
             )
         )
     return reports

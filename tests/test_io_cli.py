@@ -855,6 +855,22 @@ def test_detect_emits_top_tokens_when_text_present(tmp_path):
     assert any(c["top_tokens"] for c in report.clusters)
 
 
+def test_detect_emits_no_top_tokens_when_a_row_lacks_text(tmp_path):
+    path = tmp_path / "texty.jsonl"
+    words = ["apple banana", "carrot dill", "eggplant fig", "grape honey"]
+    lines = [
+        jsonl_line(i, features=[float(i % 4), 0.0], text=words[i % 4])
+        for i in range(79)
+    ]
+    lines.append(jsonl_line(79, features=[3.0, 0.0]))
+    write_lines(path, lines)
+    out = tmp_path / "report.json"
+    main(detect_args(path, out, k=4, min_clusters=2))
+    report = AuditReport.load(out)
+    assert report.clusters
+    assert not any("top_tokens" in c for c in report.clusters)
+
+
 def _text_rows(n=240, seed=3):
     """Three blobs whose texts favour blob-specific words, with scores."""
     rng = np.random.default_rng(seed)
@@ -936,6 +952,36 @@ def test_module_invocation_smoke(planted_file, tmp_path):
     )
     assert proc.returncode in (0, 2)
     assert out.exists()
+
+
+def test_piped_input_audits_alike_with_a_null_hash(planted_file, tmp_path):
+    """A piped input, which the load drains, gives the file's exit code
+    and clusters and a null hash; a file redirected to stdin is a regular
+    file and keeps the file's hash."""
+    src = str(Path(logan.__file__).resolve().parents[1])
+
+    def detect(name, input_path, **stdin):
+        out = tmp_path / f"{name}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "logan", *detect_args(input_path, out)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            **stdin,
+        )
+        return proc.returncode, json.loads(out.read_text(encoding="utf-8"))
+
+    code, report = detect("file", planted_file)
+    with open(planted_file, "rb") as fh:
+        redirected = detect("redirected", "/dev/stdin", stdin=fh)
+    piped = detect("piped", "/dev/stdin", input=planted_file.read_bytes())
+    digest = hashlib.sha256(planted_file.read_bytes()).hexdigest()
+    assert code == 2
+    assert report["provenance"]["input_sha256"] == digest
+    assert redirected[1]["provenance"]["input_sha256"] == digest
+    assert piped[1]["provenance"]["input_sha256"] is None
+    for other_code, other in (redirected, piped):
+        assert other_code == code
+        assert other["clusters"] == report["clusters"]
 
 
 @pytest.mark.parametrize("digits", [401, 5000])

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,8 +12,8 @@ from logan.postprocess import (
     cluster_reports,
     compare,
     inertia,
-    interpret_cluster,
     merge_small_clusters,
+    tokenize,
 )
 
 from helpers import (
@@ -260,22 +259,29 @@ def test_inertia_matches_trace():
 
 # ------------------------------------------------------------- token summary
 
-def tokens_fixture(cluster_text, corpus_extra_text, n_each=2):
-    """Corpus and cluster token counts: the cluster holds ``n_each`` rows of
-    ``cluster_text``, the corpus those plus ``n_each`` of
-    ``corpus_extra_text``."""
-    cluster = Counter(cluster_text.split() * n_each)
-    return cluster + Counter(corpus_extra_text.split() * n_each), cluster
+def cluster_top_tokens(cluster_text, corpus_extra_text, n_each=2):
+    """``top_tokens`` of a cluster of ``n_each`` rows of ``cluster_text``
+    in a corpus of those plus ``n_each`` rows of ``corpus_extra_text``."""
+    n = 2 * n_each
+    assignment = [0] * n_each + [1] * n_each
+    d = make_dataset(
+        [[float(a)] for a in assignment],
+        ["a", "b"] * n_each,
+        [1] * n,
+        [1] * n,
+        texts=[cluster_text] * n_each + [corpus_extra_text] * n_each,
+    )
+    model = manual_model([[0.0], [1.0]], assignment)
+    cfg = LoganConfig(k=2, min_clusters=1)
+    return cluster_reports(model, d, cfg, tokens=tokenize(d.texts))[0].top_tokens
 
 
 def test_interpret_cluster_overrepresented_tokens():
-    corpus, cluster = tokens_fixture("alpha beta", "gamma")
-    assert interpret_cluster(cluster, corpus, top_n=2) == ("alpha", "beta")
+    assert cluster_top_tokens("alpha beta", "gamma") == ("alpha", "beta")
 
 
 def test_interpret_cluster_tie_is_lexicographic():
-    corpus, cluster = tokens_fixture("zeta alpha", "gamma gamma")
-    assert interpret_cluster(cluster, corpus, top_n=2) == ("alpha", "zeta")
+    assert cluster_top_tokens("zeta alpha", "gamma gamma") == ("alpha", "zeta")
 
 
 def test_interpret_cluster_without_text_raises():
@@ -283,10 +289,17 @@ def test_interpret_cluster_without_text_raises():
     d = make_dataset(feats, ["a", "b"], [1, 1], [1, 1])
     model = manual_model([[0.0], [1.0]], [0, 1])
     cfg = LoganConfig(k=2, min_clusters=1)
-    reports = cluster_reports(model, d, cfg, top_tokens=10)
+    reports = cluster_reports(model, d, cfg, tokens=tokenize(d.texts))
     assert [r.top_tokens for r in reports] == [None, None]
-    with pytest.raises(ValueError, match="text"):
-        interpret_cluster(Counter(), Counter())
+
+
+def test_tokens_must_cover_every_row():
+    feats = [[0.0], [1.0]]
+    d = make_dataset(feats, ["a", "b"], [1, 1], [1, 1], texts=["red", "blue"])
+    model = manual_model([[0.0], [1.0]], [0, 1])
+    cfg = LoganConfig(k=2, min_clusters=1)
+    with pytest.raises(ValueError, match="tokens must cover 2 rows"):
+        cluster_reports(model, d, cfg, tokens=tokenize(d.texts[:-1]))
 
 
 # Characters whose lowercase forms hold token characters (the Kelvin sign
@@ -320,6 +333,8 @@ def test_top_tokens_match_the_per_row_oracle(k, texts, rnd):
         texts=texts,
     )
     model = manual_model([[float(j)] for j in range(k)], assignment)
-    reports = cluster_reports(model, d, LoganConfig(k=k, min_clusters=1), top_tokens=10)
+    reports = cluster_reports(
+        model, d, LoganConfig(k=k, min_clusters=1), tokens=tokenize(d.texts)
+    )
     expected = reference_top_tokens(texts, assignment, k, 10)
     assert [r.top_tokens for r in reports] == expected
