@@ -11,7 +11,7 @@ import numpy as np
 import logan
 from logan import cli, clustering, metrics, postprocess, selection, workers
 from logan.cli import main, run_detect
-from logan.clustering import kmeans_fit, kmeanspp_init
+from logan.clustering import kmeans_fit, kmeanspp_init, logan_fit
 from logan.data import LoganConfig, ValidationError
 from logan.io import write_jsonl
 from logan.metrics import MetricKind
@@ -154,13 +154,17 @@ def assert_same_cell(a, b, dataset, cfg):
     assert (a.biased_count, repr(a.max_gap)) == (b.biased_count, repr(b.max_gap))
 
 
-def in_worker_only(fit):
-    """Wrap a fit so that calling it in this process fails."""
+def in_worker_only(fit, caller_fits=None):
+    """Wrap a fit so that calling it in this process fails, unless
+    ``caller_fits`` is given and the weight is 0: that fit, the k-means
+    fit, is recorded in ``caller_fits``."""
     caller = os.getpid()
 
     def wrapped(*args):
         if os.getpid() == caller:
-            raise AssertionError("a cell ran in the calling process")
+            if caller_fits is None or args[2] != 0.0:
+                raise AssertionError("a cell ran in the calling process")
+            caller_fits.append(args[2])
         return fit(*args)
 
     return wrapped
@@ -174,10 +178,12 @@ def test_pool_gives_the_in_process_result(monkeypatch):
     force_workers(monkeypatch, 1)
     serial = grid_search(d, cfg, grid)
 
-    patch_fit(monkeypatch, in_worker_only)
+    caller_fits = []
+    patch_fit(monkeypatch, lambda fit: in_worker_only(fit, caller_fits))
     force_workers(monkeypatch, 2)
     pooled = grid_search(d, cfg, grid)
 
+    assert caller_fits == [0.0]
     assert [c.lam for c in pooled.cells] == grid
     assert pooled.chosen_lambda == serial.chosen_lambda
     assert pooled.cells.index(pooled.chosen) == serial.cells.index(serial.chosen)
@@ -193,28 +199,32 @@ def test_baseline_cell_is_the_merged_kmeans_fit(monkeypatch, workers):
     grid = [1.0, 5.0, 100.0]
     force_workers(monkeypatch, workers)
     result = grid_search(d, cfg, grid, initial_centroids=seeds)
-    assert_same_model(
-        result.baseline.model, merge_small_clusters(kmeans_fit(d, cfg, seeds), d, cfg)
-    )
+    kmeans = kmeans_fit(d, cfg, seeds)
+    assert_same_model(result.baseline.model, merge_small_clusters(kmeans, d, cfg))
     assert result.baseline.lam == 0.0
     assert [c.lam for c in result.cells] == grid
+    # every other cell starts from the k-means fit, before merging
     for lam, cell in zip(grid, result.cells):
-        assert_same_cell(cell, selection._fit_cell(d, cfg, seeds, lam), d, cfg)
+        assert_same_cell(cell, selection._fit_cell(d, cfg, kmeans.centroids, lam), d, cfg)
 
 
 def test_each_distinct_weight_is_fitted_once(monkeypatch):
     """A grid holding 0, -0 and a repeated weight: both zeros reuse the
     baseline cell, -0 keeps its sign, and the cells and choice are those of
-    fitting every entry."""
+    fitting every entry, the zeros from the k-means++ seeds and the others
+    from the k-means fit."""
     d = generate(PlantedBiasSpec(n_per_component=80, seed=3))
     cfg = LoganConfig(k=8, min_clusters=5, seed=11)
     grid = [5.0, 0.0, 100.0, 5.0, -0.0, 1.0]
-    every_entry = [selection._fit_cell(d, cfg, None, lam) for lam in grid]
+    warm = kmeans_fit(d, cfg).centroids
+    every_entry = [selection._fit_cell(d, cfg, warm if lam else None, lam) for lam in grid]
     fitted = []
+    starts = []
 
     def counting(fit):
         def wrapped(dataset, cfg, lam, initial_centroids):
             fitted.append(lam)
+            starts.append(initial_centroids)
             return fit(dataset, cfg, lam, initial_centroids)
 
         return wrapped
@@ -223,6 +233,8 @@ def test_each_distinct_weight_is_fitted_once(monkeypatch):
     patch_fit(monkeypatch, counting)
     result = grid_search(d, cfg, grid)
     assert fitted == [0.0, 5.0, 100.0, 1.0]
+    assert starts[0].tobytes() == kmeanspp_init(d, cfg.k, cfg.seed).tobytes()
+    assert all(start.tobytes() == warm.tobytes() for start in starts[1:])
     assert result.cells[1].model is result.cells[4].model is result.baseline.model
     for a, b in zip(every_entry, result.cells):
         assert_same_cell(a, b, d, cfg)
@@ -230,17 +242,20 @@ def test_each_distinct_weight_is_fitted_once(monkeypatch):
     assert result.cells.index(result.chosen) == every_entry.index(best)
 
 
-def test_detect_fits_nothing_in_the_calling_process(monkeypatch, planted_file):
-    """With a pool, k-means++ is the caller's only clustering step: the
-    baseline and every cell are fitted in workers, to the serial report."""
+def test_detect_fits_only_kmeans_in_the_calling_process(monkeypatch, planted_file):
+    """With a pool, k-means++ and the k-means fit are the caller's only
+    clustering steps: every cell with a weight above 0 is fitted in a
+    worker, to the serial report."""
     cfg = LoganConfig(seed=0)
     grid = [1.0, 5.0, 10.0, 100.0]
     force_workers(monkeypatch, 1)
     serial = asdict(run_detect(planted_file, cfg, grid, None))
     force_workers(monkeypatch, 2)
-    patch_fit(monkeypatch, in_worker_only)
+    caller_fits = []
+    patch_fit(monkeypatch, lambda fit: in_worker_only(fit, caller_fits))
     monkeypatch.setattr(clustering, "logan_fit", in_worker_only(clustering.logan_fit))
     pooled = asdict(run_detect(planted_file, cfg, grid, None))
+    assert caller_fits == [0.0]
     for report in (serial, pooled):
         report["provenance"].pop("created_at")
     assert repr(pooled) == repr(serial)
@@ -249,7 +264,8 @@ def test_detect_fits_nothing_in_the_calling_process(monkeypatch, planted_file):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_seeds_are_drawn_once(monkeypatch, workers):
     """Without initial centroids, the caller draws the k-means++ seeds once
-    and every cell, the baseline too, fits from them."""
+    and the k-means fit, from which every other cell starts, fits from
+    them."""
     d = generate(PlantedBiasSpec(n_per_component=80, seed=3))
     cfg = LoganConfig(k=8, min_clusters=5, seed=11)
     grid = [1.0, 5.0, 100.0]
@@ -271,6 +287,75 @@ def test_seeds_are_drawn_once(monkeypatch, workers):
     assert len(drawn) == 1
     for a, b in zip((result.baseline, *result.cells), (given.baseline, *given.cells)):
         assert_same_cell(a, b, d, cfg)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_weight_that_buys_nothing_costs_one_sweep(monkeypatch, workers):
+    """With every prediction correct, every gap and so the bias term is 0,
+    and each cell above weight 0 converges in one sweep with no move: it
+    ends on the k-means fit, before merging, bit for bit.  Nothing merges
+    here, so each cell's model is its fit."""
+    d = generate(PlantedBiasSpec(n_per_component=80, planted_gap=0.0, background_acc=1.0, seed=3))
+    assert d.correct_flags.all()
+    cfg = LoganConfig(k=8, min_clusters=5, min_cluster_total=0, seed=11)
+    kmeans = kmeans_fit(d, cfg)
+    assert kmeans.converged and kmeans.iterations_run > 1
+    force_workers(monkeypatch, workers)
+    result = grid_search(d, cfg, [1.0, 5.0, 10.0, 100.0])
+    assert_same_model(result.baseline.model, kmeans)
+    for cell in result.cells:
+        assert (cell.model.converged, cell.model.iterations_run) == (True, 1)
+        assert cell.model.assignment.tobytes() == kmeans.assignment.tobytes()
+        assert cell.model.centroids.tobytes() == kmeans.centroids.tobytes()
+
+
+def test_warm_start_ends_no_higher_in_fewer_iterations():
+    """On the default spec at gaps 0 and 0.30, seeds 0-9, a fit started
+    from the k-means fit ends no higher on the joint objective than one
+    started from the k-means++ seeds in at least half of the fits above
+    weight 0, and the warm fits run fewer iterations in total.  A warm fit
+    that ends on the cold fit's partition counts as no higher: the two
+    objectives then differ only by the rounding of the running sums."""
+    no_higher = fits = cold_iterations = warm_iterations = 0
+    for gap in (0.0, 0.30):
+        for seed in range(10):
+            d = generate(PlantedBiasSpec(planted_gap=gap, seed=seed))
+            cfg = LoganConfig(seed=seed)
+            warm_start = kmeans_fit(d, cfg).centroids
+            for lam in (1.0, 5.0, 10.0, 100.0):
+                cold = logan_fit(d, cfg, lam)
+                warm = logan_fit(d, cfg, lam, warm_start)
+                fits += 1
+                no_higher += np.array_equal(warm.assignment, cold.assignment) or (
+                    warm.objective_trace[-1][2] <= cold.objective_trace[-1][2]
+                )
+                cold_iterations += cold.iterations_run
+                warm_iterations += warm.iterations_run
+    assert 2 * no_higher >= fits, f"no higher in {no_higher} of {fits} fits"
+    assert warm_iterations < cold_iterations
+
+
+def test_failing_baseline_starts_no_worker(monkeypatch):
+    """The k-means fit runs in the caller first, so a failing baseline is
+    raised before any worker is forked."""
+    d = generate(PlantedBiasSpec(n_per_component=40, seed=3))
+    cfg = LoganConfig(k=6, min_clusters=3, seed=1)
+    forked = []
+    fork = workers._fork_child
+
+    def counting(*args):
+        forked.append(args)
+        return fork(*args)
+
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(workers, "_fork_child", counting)
+    grid_search(d, cfg, [1.0, 5.0, 10.0])
+    assert len(forked) == 2
+    forked.clear()
+    patch_fit(monkeypatch, failing_at(0.0))
+    with pytest.raises(ValueError, match=r"^cell lam=0\.0 failed$"):
+        grid_search(d, cfg, [1.0, 5.0, 10.0])
+    assert forked == []
 
 
 @pytest.mark.parametrize("lambdas", [None, [1.0, 5.0]])
