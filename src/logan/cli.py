@@ -14,6 +14,7 @@ as a CI gate), 1 = any error.
 from __future__ import annotations
 
 import argparse
+import gc
 import inspect
 import sys
 from dataclasses import fields
@@ -299,9 +300,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
-def entrypoint() -> None:
-    raise SystemExit(main())
+def entrypoint() -> NoReturn:
+    """Run ``main`` and exit with its code, for the ``logan`` script and
+    ``python -m logan``.  Every object left is frozen first, so the
+    interpreter's final cycle collection, which would only free memory the
+    exiting process gives back anyway, skips them."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entrypoint()

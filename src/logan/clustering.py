@@ -53,6 +53,21 @@ the mover.  Deltas must be finite, because ``argmin`` picks a NaN where
 the loop's ``<`` never does; squared distances that overflow are rejected
 before the sweep.
 
+Two pieces of lambda > 0 work are skipped without changing a bit.  The fit
+keeps its (n, k) distance matrix from the nearest-seed assignment on, with
+the centroids its columns were computed for, and before each sweep
+recomputes only the columns whose centroid changed (any coordinate
+compares unequal).  Every entry is computed on its own, in the same
+coordinate order, so a kept column holds what a fresh one would: a
+coordinate that only swaps +0 for -0 compares equal and gives the same
+squares, and a NaN never compares equal.  A fit started from a converged
+k-means fit therefore computes no distances in its first sweep.  And the
+sweep never reads the feature sums, so it collects each move's (instance,
+p, q) and applies them at the end with one ``np.add.at`` that subtracts
+x from cluster p and adds it to q, move by move.  ``np.add.at`` adds
+unbuffered in index order and ``a - b == a + (-b)`` in IEEE arithmetic,
+so each sum sees the operations of per-move updates in their order.
+
 At lambda = 0 the sweep is the argmin of each row of ``_sq_dists``
 (lowest index on ties), and ``_LloydBounds`` evaluates only the rows whose
 argmin can have changed (Hamerly, SDM 2010).  Each row keeps an upper bound
@@ -162,7 +177,6 @@ def _gap_term(c: Sequence[int]) -> float:
 
 
 def _apply_move(
-    X: np.ndarray,
     i: int,
     p: int,
     q: int,
@@ -170,18 +184,16 @@ def _apply_move(
     assign: np.ndarray,
     counts: list[list[int]],
     term: list[float],
-    sums: np.ndarray,
 ) -> None:
     """Move instance i of ``kind`` from cluster p to q, updating the
-    assignment and the running tallies in place."""
+    assignment, kind counts and gap terms in place; the caller updates the
+    feature sums."""
     cp = counts[p]
     cq = counts[q]
     cp[kind] -= 1
     cq[kind] += 1
     term[p] = _gap_term(cp)
     term[q] = _gap_term(cq)
-    sums[p] -= X[i]
-    sums[q] += X[i]
     assign[i] = q
 
 
@@ -333,9 +345,11 @@ def _set_bias_column(
     )
 
 
-# Visits evaluated by the first block of a sweep.  Only speed depends on
-# it: most sweeps of a fit move few instances, so blocks grow long fast.
+# Visits evaluated by the first block of a sweep, and at least by the block
+# after a move.  Only speed depends on them: most sweeps of a fit move few
+# instances, so blocks grow long fast.
 _FIRST_BLOCK = 64
+_MIN_BLOCK = 32
 
 
 def _sweep_blocked(
@@ -359,7 +373,10 @@ def _sweep_blocked(
     a new (n, k) array.  Visits are then evaluated in blocks: every row of
     a block before its first mover stays put, the mover is applied, and the
     next block starts right after it.  The block length doubles while no
-    move is found and restarts at twice the distance to the last move."""
+    move is found and restarts at twice the distance to the last move, or
+    ``_MIN_BLOCK`` if that is longer.  A move updates ``assign``,
+    ``counts`` and ``term`` at once; ``sums`` gets every move's update at
+    the end, in move order (see the module docstring)."""
     _check_finite(dist)
     n_visits = len(order)
     k = dist.shape[1]
@@ -377,7 +394,7 @@ def _sweep_blocked(
     for j in range(k):
         _set_bias_column(table, j, counts[j], term[j], lam)
     delta = np.empty_like(part)
-    moves = 0
+    movers: list[tuple[int, int, int]] = []  # (instance, old, new cluster)
     start = 0
     length = _FIRST_BLOCK
     while start < n_visits:
@@ -394,15 +411,21 @@ def _sweep_blocked(
             length *= 2
             continue
         v = start + r
+        i = int(order[v])
         p = int(own[v])
         q = int(best[r])
-        _apply_move(X, int(order[v]), p, q, int(kinds[v]), assign, counts, term, sums)
+        _apply_move(i, p, q, int(kinds[v]), assign, counts, term)
         _set_bias_column(table, p, counts[p], term[p], lam)
         _set_bias_column(table, q, counts[q], term[q], lam)
-        moves += 1
+        movers.append((i, p, q))
         start = v + 1
-        length = 2 * (r + 1)
-    return moves
+        length = max(2 * (r + 1), _MIN_BLOCK)
+    if movers:
+        # clusters [p1, q1, p2, q2, ...] get [-x1, x1, -x2, x2, ...], in order
+        applied = np.array(movers)
+        x = X[applied[:, 0]]
+        np.add.at(sums, applied[:, 1:].ravel(), np.stack((-x, x), axis=1).reshape(-1, X.shape[1]))
+    return len(movers)
 
 
 # Floats per block of distances and per chunk of differences in
@@ -437,7 +460,11 @@ def _fit_core(
 ) -> ClusterModel:
     """Alternate assignment sweeps and centroid updates from a given seed
     state.  ``sweep_order``, a permutation of the instances, overrides the
-    ascending visit order (used by permutation-equivariance tests)."""
+    ascending visit order (used by permutation-equivariance tests).
+
+    At lambda > 0 the distances to the seeds are kept, and before each
+    sweep only the columns of the centroids that changed since their last
+    computation are recomputed (see the module docstring)."""
     X = dataset.feature_matrix
     cols = np.ascontiguousarray(X.T)
     n = len(X)
@@ -455,12 +482,13 @@ def _fit_core(
         return counts, [_gap_term(c) for c in counts], sums
 
     centroids = np.array(centroids, dtype=np.float64)
-    assign = _sq_dists(cols, centroids).argmin(axis=1)
+    dist = _sq_dists(cols, centroids)
+    assign = dist.argmin(axis=1)
     counts, term, sums = tallies(assign)
     if lam == 0.0:
         bounds = _LloydBounds(cols, k)
     else:
-        dist = np.empty((n, k), dtype=np.float64)
+        seen = centroids.copy()  # the centroids of the columns of ``dist``
     gathered = np.empty_like(X, order="C")
 
     def record() -> tuple[float, float, float]:
@@ -484,7 +512,9 @@ def _fit_core(
                 raise RuntimeError("no eligible donor instance for empty cluster")
             donor = int(np.where(eligible, dist_to_e, -1.0).argmax())
             p = int(assign[donor])
-            _apply_move(X, donor, p, e, int(kinds[donor]), assign, counts, term, sums)
+            _apply_move(donor, p, e, int(kinds[donor]), assign, counts, term)
+            sums[p] -= X[donor]
+            sums[e] += X[donor]
             sizes[p] -= 1
             sizes[e] += 1
             if lam == 0.0:
@@ -509,7 +539,10 @@ def _fit_core(
             update_centroids()
             bounds.shift(previous, centroids, assign)
         else:
-            _sq_dists(cols, centroids, out=dist)
+            stale = np.flatnonzero(np.any(centroids != seen, axis=1))
+            if len(stale):
+                dist[:, stale] = _sq_dists(cols, centroids[stale])
+                seen[stale] = centroids[stale]
             moves = _sweep_blocked(X, dist, assign, counts, term, sums, kinds, lam, order)
             update_centroids()
         trace.append(record())

@@ -493,6 +493,27 @@ def test_blocked_sweep_sums_each_delta_in_the_loops_order():
     assert got[0].tolist() == ref[0] == [1, 0, 1, 1, 1, 1]
 
 
+def test_blocked_sweep_updates_sums_in_move_order():
+    """Cluster 0 first gains instance 0 and then loses instance 1.  In move
+    order its sum is (1.0 + 1e-20) - 1.0 == 0.0; all subtractions before
+    all additions would give (1.0 - 1.0) + 1e-20 instead."""
+    assert (1.0 + 1e-20) - 1.0 != (1.0 - 1.0) + 1e-20
+    X = np.array([[1e-20], [1.0], [0.0], [0.0]])
+    dist = np.array([[0.0, 100.0], [100.0, 0.0], [0.0, 100.0], [100.0, 0.0]])
+    assign = np.array([1, 0, 0, 1])
+    g = np.array([0, 1, 0, 1], dtype=np.int8)
+    w = np.array([1, 1, 0, 1], dtype=np.int8)
+    ref, got, kinds = _sweep_args(X, dist, assign, g, w)
+    order = np.arange(4)
+    assert _sweep_sequential(
+        X, dist.tolist(), *ref, g.tolist(), w.tolist(), 1.0, order.tolist()
+    ) == 2
+    assert _sweep_blocked(X, dist, *got, kinds, 1.0, order) == 2
+    assert got[0].tolist() == ref[0] == [0, 1, 0, 1]
+    assert got[3].tobytes() == ref[6].tobytes()
+    assert got[3][:, 0].tolist() == [0.0, 1.0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(sweep_states(), st.sampled_from((0.0, *LAMBDAS)))
 def test_best_single_move_delta_matches_loop_exactly(state, lam):
@@ -591,6 +612,58 @@ def test_logan_fit_matches_sequential_reference_exactly(state, lam, permuted, se
     assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
     assert model.iterations_run == iterations
     assert model.converged == converged
+
+
+def _count_distance_columns(monkeypatch):
+    """Patch ``_sq_dists`` to append the number of centroid columns of each
+    call to the returned list."""
+    columns = []
+    real = clustering._sq_dists
+
+    def counting(cols, centroids, out=None):
+        columns.append(len(centroids))
+        return real(cols, centroids, out)
+
+    monkeypatch.setattr(clustering, "_sq_dists", counting)
+    return columns
+
+
+def test_warm_start_that_buys_nothing_reuses_every_distance_column(monkeypatch):
+    """Every prediction is correct, so no move changes a gap term: started
+    from a converged k-means fit, the lambda fit converges in one sweep and
+    that sweep reuses all k columns of the nearest-seed distances."""
+    d = generate(PlantedBiasSpec(planted_gap=0.0, background_acc=1.0, seed=0))
+    cfg = LoganConfig()
+    kmeans = kmeans_fit(d, cfg)
+    assert kmeans.converged
+    columns = _count_distance_columns(monkeypatch)
+    model = logan_fit(d, cfg, 5.0, initial_centroids=kmeans.centroids)
+    assert columns == [cfg.k]
+    assert model.converged and model.iterations_run == 1
+    assert model.assignment.tolist() == kmeans.assignment.tolist()
+    assign, centroids, trace, _, _ = reference_logan_fit(d, kmeans.centroids, cfg, 5.0)
+    assert model.assignment.tolist() == assign.tolist()
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
+
+
+def test_lambda_fit_recomputes_only_the_columns_of_moved_centroids(monkeypatch):
+    """After the first sweep, which moves every seed, only some clusters
+    change per sweep, and only their distance columns are computed."""
+    d = generate(PlantedBiasSpec(n_per_component=60, seed=0))
+    cfg = LoganConfig()
+    seeds = kmeanspp_init(d, cfg.k, cfg.seed)
+    columns = _count_distance_columns(monkeypatch)
+    model = logan_fit(d, cfg, 10.0, initial_centroids=seeds)
+    assert model.converged and model.iterations_run >= 3
+    assert columns[:2] == [cfg.k, cfg.k]  # the seeds, then every moved seed
+    assert len(columns) <= 1 + model.iterations_run
+    assert all(0 < c < cfg.k for c in columns[2:])
+    assign, centroids, trace, iterations, _ = reference_logan_fit(d, seeds, cfg, 10.0)
+    assert model.assignment.tolist() == assign.tolist()
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
+    assert model.iterations_run == iterations
 
 
 # ------------------------------------------- numpy distances vs scipy's cdist

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import enum
+import gc
 import hashlib
 import io
 import json
@@ -952,6 +953,37 @@ def test_module_invocation_smoke(planted_file, tmp_path):
     )
     assert proc.returncode in (0, 2)
     assert out.exists()
+
+
+def test_module_exit_prints_the_summary_to_a_piped_stdout(planted_file, tmp_path):
+    """``python -m logan`` exits through ``entrypoint``, which freezes the
+    heap before exit: the summary line still reaches a pipe, and the report
+    is the one ``main`` writes in process, which leaves the heap unfrozen."""
+    src = str(Path(logan.__file__).resolve().parents[1])
+    piped_out = tmp_path / "piped.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "logan", *detect_args(planted_file, piped_out)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    frozen = gc.get_freeze_count()
+    in_process_out = tmp_path / "in-process.json"
+    code = main(detect_args(planted_file, in_process_out))
+    assert gc.get_freeze_count() == frozen
+    assert proc.returncode == code == 2
+    report = AuditReport.load(piped_out)
+    assert proc.stdout == (
+        f"audited {planted_file}: {len(report.clusters)} clusters, "
+        f"{report.n_biased_clusters()} biased (report: {piped_out})\n"
+    )
+
+    def without_created_at(path):
+        report = json.loads(path.read_text(encoding="utf-8"))
+        del report["provenance"]["created_at"]
+        return report
+
+    assert without_created_at(piped_out) == without_created_at(in_process_out)
 
 
 def test_piped_input_audits_alike_with_a_null_hash(planted_file, tmp_path):
