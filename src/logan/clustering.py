@@ -16,6 +16,8 @@ loss sees a cluster only through its counts of members by kind, so the fit
 keeps them as one four-entry list ``c`` per cluster: the groups hold
 ``c[0] + c[1]`` and ``c[2] + c[3]`` members, of which ``c[1]`` and ``c[3]``
 are predicted correctly.  A move changes two counts, one in each cluster.
+The kind counts are the fit's only per-cluster tally besides the feature
+sums: a gap term is computed from them wherever it is needed.
 
 The solver alternates two steps until no assignment changes in a full
 sweep (or ``max_iter`` is hit):
@@ -29,9 +31,9 @@ sweep (or ``max_iter`` is hit):
     index; staying scores 0) and apply the move immediately.
   * centroid update: recompute each centroid as the mean of its members.
     A cluster that lost all members is re-seeded with the instance
-    farthest from the cluster's stale centroid (only instances whose own
-    cluster keeps at least one other member are eligible; ties toward the
-    lowest instance index).
+    farthest from the cluster's stale centroid by ``_sq_dists`` (only
+    instances whose own cluster keeps at least one other member are
+    eligible; ties toward the lowest instance index).
 
 The sweep is evaluated in numpy blocks of consecutive visits, and is exact
 (bit-identical to the one-instance-at-a-time loop that
@@ -88,9 +90,10 @@ diagonal comes near overflow, so overflow is reported exactly when the
 full matrix would show it.  Assignments, centroids and traces are those of
 a full argmin in every iteration, bit for bit.
 
-Squared distances come from ``_sq_dists``, in numpy alone: it adds the
-squared coordinate differences from the first coordinate to the last,
-starting at 0, as a plain per-pair loop does.  Summing in any other order
+Every squared distance of a fit, in its sweeps and its re-seeds, comes
+from ``_sq_dists``, in numpy alone: it adds the squared coordinate
+differences from the first coordinate to the last, starting at 0, as a
+plain per-pair loop does.  Summing in any other order
 (``np.sum``, ``einsum``, the ``|x|^2 - 2 x.c + |c|^2`` expansion) changes
 low bits of the distances, and through ties and the sweep, the fits.
 
@@ -104,7 +107,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -177,23 +180,13 @@ def _gap_term(c: Sequence[int]) -> float:
 
 
 def _apply_move(
-    i: int,
-    p: int,
-    q: int,
-    kind: int,
-    assign: np.ndarray,
-    counts: list[list[int]],
-    term: list[float],
+    i: int, p: int, q: int, kind: int, assign: np.ndarray, counts: list[list[int]]
 ) -> None:
     """Move instance i of ``kind`` from cluster p to q, updating the
-    assignment, kind counts and gap terms in place; the caller updates the
-    feature sums."""
-    cp = counts[p]
-    cq = counts[q]
-    cp[kind] -= 1
-    cq[kind] += 1
-    term[p] = _gap_term(cp)
-    term[q] = _gap_term(cq)
+    assignment and kind counts in place; the caller updates the feature
+    sums."""
+    counts[p][kind] -= 1
+    counts[q][kind] += 1
     assign[i] = q
 
 
@@ -251,15 +244,16 @@ class _LloydBounds:
     ``upper[i]`` bounds the true distance from instance i to its own
     centroid from above and ``lower[i]`` its distance to every other
     centroid from below; inf in ``upper`` marks a row with no bounds.
+    The evaluated rows' distances are written into the (n, k) ``dist``.
     """
 
-    def __init__(self, cols: np.ndarray, k: int) -> None:
+    def __init__(self, cols: np.ndarray, dist: np.ndarray) -> None:
         dim, n = cols.shape
         self.cols = cols
         self.box = (cols.min(axis=1), cols.max(axis=1))
         self.upper = np.full(n, np.inf)
         self.lower = np.zeros(n)
-        self.dist = np.empty((n, k), dtype=np.float64)
+        self.dist = dist
         rho = (dim + 2) * 2.0**-52
         self.err = dim * 2.0**-1074  # absolute error of underflowing squares
         self.slack = math.sqrt(8.0 * self.err)
@@ -318,21 +312,16 @@ class _LloydBounds:
             self.lower *= 1.0 - 2.0**-51
 
 
-def _set_bias_column(
-    table: np.ndarray,
-    j: int,
-    c: Sequence[int],
-    t: float,
-    lam: float,
-) -> None:
+def _set_bias_column(table: np.ndarray, j: int, c: Sequence[int], lam: float) -> None:
     """Fill column j of the (8, k) bias table from cluster j's kind counts
-    ``c`` and gap term ``t``.
+    ``c``.
 
     For an instance of kind ``2 * group + correct``, row ``kind`` holds the
     bias part of the move delta when it leaves cluster j and row
     ``4 + kind`` when it joins it, computed with the same expressions as the
     one-instance-at-a-time loop."""
     a1, a2, b1, b2 = c[0] + c[1], c[2] + c[3], c[1], c[3]
+    t = _term(a1, a2, b1, b2)
     table[:, j] = (
         lam * (t - _term(a1 - 1, a2, b1, b2)),
         lam * (t - _term(a1 - 1, a2, b1 - 1, b2)),
@@ -357,7 +346,6 @@ def _sweep_blocked(
     dist: np.ndarray,
     assign: np.ndarray,
     counts: list[list[int]],
-    term: list[float],
     sums: np.ndarray,
     kinds: np.ndarray,
     lam: float,
@@ -365,8 +353,8 @@ def _sweep_blocked(
 ) -> int:
     """One greedy assignment sweep with centroids fixed, visiting the
     instances in ``order``, a permutation; returns the number of moves
-    applied and updates ``assign``, ``counts``, ``term`` and ``sums`` in
-    place.  ``kinds`` holds each instance's kind.
+    applied and updates ``assign``, ``counts`` and ``sums`` in place.
+    ``kinds`` holds each instance's kind.
 
     ``dist`` holds the (n, k) squared distances and is only read.  The
     distance part of every visit's delta is computed once, up front, into
@@ -374,9 +362,9 @@ def _sweep_blocked(
     a block before its first mover stays put, the mover is applied, and the
     next block starts right after it.  The block length doubles while no
     move is found and restarts at twice the distance to the last move, or
-    ``_MIN_BLOCK`` if that is longer.  A move updates ``assign``,
-    ``counts`` and ``term`` at once; ``sums`` gets every move's update at
-    the end, in move order (see the module docstring)."""
+    ``_MIN_BLOCK`` if that is longer.  A move updates ``assign`` and
+    ``counts`` at once; ``sums`` gets every move's update at the end, in
+    move order (see the module docstring)."""
     _check_finite(dist)
     n_visits = len(order)
     k = dist.shape[1]
@@ -392,7 +380,7 @@ def _sweep_blocked(
     join_at = kinds + 4
     table = np.empty((8, k), dtype=np.float64)
     for j in range(k):
-        _set_bias_column(table, j, counts[j], term[j], lam)
+        _set_bias_column(table, j, counts[j], lam)
     delta = np.empty_like(part)
     movers: list[tuple[int, int, int]] = []  # (instance, old, new cluster)
     start = 0
@@ -414,9 +402,9 @@ def _sweep_blocked(
         i = int(order[v])
         p = int(own[v])
         q = int(best[r])
-        _apply_move(i, p, q, int(kinds[v]), assign, counts, term)
-        _set_bias_column(table, p, counts[p], term[p], lam)
-        _set_bias_column(table, q, counts[q], term[q], lam)
+        _apply_move(i, p, q, int(kinds[v]), assign, counts)
+        _set_bias_column(table, p, counts[p], lam)
+        _set_bias_column(table, q, counts[q], lam)
         movers.append((i, p, q))
         start = v + 1
         length = max(2 * (r + 1), _MIN_BLOCK)
@@ -426,29 +414,6 @@ def _sweep_blocked(
         x = X[applied[:, 0]]
         np.add.at(sums, applied[:, 1:].ravel(), np.stack((-x, x), axis=1).reshape(-1, X.shape[1]))
     return len(movers)
-
-
-# Floats per block of distances and per chunk of differences in
-# _stale_dists: 2 MB of float64.
-_STALE_CHUNK = 1 << 18
-
-
-def _stale_dists(X: np.ndarray, stale: np.ndarray) -> Iterator[np.ndarray]:
-    """Each stale centroid's squared distances to every instance, summed as
-    ``np.sum((X - c) ** 2, axis=1)`` sums them.  Centroids are taken in
-    blocks, and rows in chunks, so that a block's distances and a chunk's
-    (rows, block, dim) differences hold at most ``_STALE_CHUNK`` floats, or
-    one centroid's n distances and one row's differences if those are more."""
-    n, dim = X.shape
-    size = max(1, _STALE_CHUNK // max(n, dim))
-    for b in range(0, len(stale), size):
-        block = stale[b : b + size]
-        out = np.empty((len(block), n), dtype=np.float64)
-        rows = max(1, _STALE_CHUNK // block.size)
-        for start in range(0, n, rows):
-            diffs = X[start : start + rows, None] - block
-            out[:, start : start + rows] = np.sum(diffs**2, axis=2).T
-        yield from out
 
 
 def _fit_core(
@@ -473,20 +438,20 @@ def _fit_core(
     order = np.arange(n) if sweep_order is None else np.asarray(sweep_order, np.intp)
 
     def tallies(assign: np.ndarray):
-        """Per-cluster kind counts and gap terms (as lists) and feature
-        sums, recounted in full."""
+        """Per-cluster kind counts (as lists) and feature sums, recounted in
+        full."""
         counts = np.bincount(4 * assign + kinds, minlength=4 * k).reshape(k, 4).tolist()
         sums = np.empty((k, len(cols)), dtype=np.float64)
         for j, col in enumerate(cols):
             sums[:, j] = np.bincount(assign, weights=col, minlength=k)
-        return counts, [_gap_term(c) for c in counts], sums
+        return counts, sums
 
     centroids = np.array(centroids, dtype=np.float64)
     dist = _sq_dists(cols, centroids)
     assign = dist.argmin(axis=1)
-    counts, term, sums = tallies(assign)
+    counts, sums = tallies(assign)
     if lam == 0.0:
-        bounds = _LloydBounds(cols, k)
+        bounds = _LloydBounds(cols, dist)  # from here on ``dist`` is its scratch
     else:
         seen = centroids.copy()  # the centroids of the columns of ``dist``
     gathered = np.empty_like(X, order="C")
@@ -496,23 +461,22 @@ def _fit_core(
         np.take(centroids, assign, axis=0, mode="clip", out=gathered)
         diffs = np.subtract(X, gathered, out=gathered)
         l_c = float(np.einsum("ij,ij->", diffs, diffs))
-        l_b = -float(sum(term))
+        l_b = -float(sum(map(_gap_term, counts)))
         return (l_c, l_b, l_c + lam * l_b)
 
     def update_centroids() -> None:
         # Re-seed each emptied cluster, in ascending order, with the instance
-        # farthest from its stale centroid; donors must leave a nonempty
-        # cluster behind, so no re-seed empties a cluster and the distances
-        # to every stale centroid can be taken up front.
+        # farthest from its stale centroid by ``_sq_dists``; donors must
+        # leave a nonempty cluster behind, so no re-seed empties a cluster.
         sizes = np.sum(counts, axis=1)
-        empty = np.flatnonzero(sizes == 0).tolist()
-        for e, dist_to_e in zip(empty, _stale_dists(X, centroids[empty])):
+        for e in np.flatnonzero(sizes == 0).tolist():
             eligible = sizes[assign] >= 2
             if not eligible.any():
                 raise RuntimeError("no eligible donor instance for empty cluster")
-            donor = int(np.where(eligible, dist_to_e, -1.0).argmax())
+            far = _sq_dists(cols, centroids[e : e + 1])[:, 0]
+            donor = int(np.where(eligible, far, -1.0).argmax())
             p = int(assign[donor])
-            _apply_move(donor, p, e, int(kinds[donor]), assign, counts, term)
+            _apply_move(donor, p, e, int(kinds[donor]), assign, counts)
             sums[p] -= X[donor]
             sums[e] += X[donor]
             sizes[p] -= 1
@@ -534,7 +498,7 @@ def _fit_core(
             # nearest-centroid assignment (ties toward the lowest index).
             moves = bounds.nearest(centroids, assign)
             if moves:
-                counts, term, sums = tallies(assign)
+                counts, sums = tallies(assign)
             previous = centroids.copy()
             update_centroids()
             bounds.shift(previous, centroids, assign)
@@ -543,7 +507,7 @@ def _fit_core(
             if len(stale):
                 dist[:, stale] = _sq_dists(cols, centroids[stale])
                 seen[stale] = centroids[stale]
-            moves = _sweep_blocked(X, dist, assign, counts, term, sums, kinds, lam, order)
+            moves = _sweep_blocked(X, dist, assign, counts, sums, kinds, lam, order)
             update_centroids()
         trace.append(record())
         if moves == 0:

@@ -103,11 +103,12 @@ class _Head(RawIOBase):
 
 
 def _parse_part(path: str | Path, start: int, stop: int | None = None) -> DatasetBuilder:
-    """``_parse_jsonl`` of the file's bytes ``[start, stop)``, read as
-    ``load_jsonl`` reads the whole file.  ``start`` and ``stop`` must each
-    follow a line feed byte, so the part holds whole lines."""
+    """``_parse_jsonl`` of the file's bytes ``[start, stop)``.  ``start``
+    and ``stop`` must each follow a line feed byte, so the part holds whole
+    lines; a part from 0 is never sought, so a pipe reads too."""
     with open(path, "rb", buffering=0) as raw:
-        raw.seek(start)
+        if start > 0:
+            raw.seek(start)
         stream = BufferedReader(raw if stop is None else _Head(raw, stop - start))
         with TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape") as text:
             return _parse_jsonl(text)
@@ -158,8 +159,7 @@ def load_jsonl(path: str | Path) -> Dataset:
     """
     builder = _load_halves(path)
     if builder is None:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            builder = _parse_jsonl(fh)
+        builder = _parse_part(path, 0)
     return builder.finish()
 
 

@@ -90,9 +90,10 @@ def merge_small_clusters(
     """
     k = model.n_clusters
     sizes = model.cluster_sizes()
-    X = dataset.feature_matrix
+    if k <= cfg.min_clusters or sizes.min() >= cfg.min_cluster_total:
+        return model
     sums = np.zeros((k, dataset.dim), dtype=np.float64)
-    np.add.at(sums, model.assignment, X)
+    np.add.at(sums, model.assignment, dataset.feature_matrix)
     centroids = np.array(model.centroids, dtype=np.float64)
     alive = np.ones(k, dtype=bool)
     owner = np.arange(k)  # the live cluster that holds each original one
@@ -112,8 +113,6 @@ def merge_small_clusters(
         if sizes[t] > 0:
             centroids[t] = sums[t] / sizes[t]
 
-    if alive.all():
-        return model
     live = np.flatnonzero(alive)
     new_assign = np.searchsorted(live, owner)[model.assignment]
     new_centroids = centroids[live]

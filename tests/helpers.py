@@ -447,17 +447,15 @@ def best_single_move_delta(dataset: Dataset, model: ClusterModel, lam: float) ->
     the model's centroids held fixed, computed for every move at once from
     the sweep's bias table.  A converged fit yields >= 0 (no improving move
     survives at termination)."""
-    stats = ClusterStats.from_assignment(dataset, model.assignment, model.centroids)
     dist = _sq_dists(np.ascontiguousarray(dataset.feature_matrix.T), model.centroids)
     _check_finite(dist)
     own = np.asarray(model.assignment, dtype=np.intp)
     kinds = 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
     k = model.n_clusters
     counts = np.bincount(4 * own + kinds, minlength=4 * k).reshape(k, 4).tolist()
-    term = stats.gap_terms().tolist()
     table = np.empty((8, k), dtype=np.float64)
     for j in range(k):
-        _set_bias_column(table, j, counts[j], term[j], lam)
+        _set_bias_column(table, j, counts[j], lam)
     rows = np.arange(len(own))
     delta = dist - dist[rows, own][:, None]
     delta += table[kinds, own][:, None]
@@ -512,8 +510,8 @@ def reference_lloyd(dataset: Dataset, seeds: np.ndarray, cfg):
     assignment and update until nothing moves or ``cfg.max_iter`` is hit.
     Tallies are recounted after an assignment that moved something.  A
     cluster left empty takes the instance farthest from its stale centroid
-    among those whose cluster keeps another member (lowest index on ties),
-    and its tallies move with it.  Returns (assignment, centroids,
+    by ``_sq_dists`` among those whose cluster keeps another member (lowest
+    index on ties), and its tallies move with it.  Returns (assignment, centroids,
     objective trace, iterations run, converged).
     """
     X = dataset.feature_matrix
@@ -530,7 +528,7 @@ def reference_lloyd(dataset: Dataset, seeds: np.ndarray, cfg):
             if sizes.all():
                 break
             e = int(sizes.argmin())
-            far = np.sum((X - centroids[e]) ** 2, axis=1)
+            far = _sq_dists(cols, centroids[e : e + 1])[:, 0]
             i = int(np.where(sizes[assign] >= 2, far, -1.0).argmax())
             p, a = int(assign[i]), int(g[i])
             stats.group_counts[p, a] -= 1
@@ -584,8 +582,8 @@ def reference_logan_fit(
     Nearest-seed assignment and a centroid update come first.  Tallies are
     counted once and then kept up to date move by move, as the fit keeps
     them.  A cluster left empty takes the instance farthest from its stale
-    centroid among those whose cluster keeps another member (lowest index
-    on ties).  Returns (assignment, centroids, objective trace, iterations
+    centroid by ``_sq_dists`` among those whose cluster keeps another
+    member (lowest index on ties).  Returns (assignment, centroids, objective trace, iterations
     run, converged).
     """
     X = dataset.feature_matrix
@@ -608,7 +606,7 @@ def reference_logan_fit(
             if sizes.all():
                 break
             e = int(sizes.argmin())
-            far = np.sum((X - centroids[e]) ** 2, axis=1)
+            far = _sq_dists(cols, centroids[e : e + 1])[:, 0]
             i = int(np.where(sizes[assign] >= 2, far, -1.0).argmax())
             p = assign[i]
             if g[i] == 0:

@@ -12,7 +12,7 @@ from logan.clustering import (
     _LloydBounds,
     _SQ_DISTS_ROWS,
     _fit_core,
-    _stale_dists,
+    _gap_term,
     _sq_dists,
     _sweep_blocked,
     _term,
@@ -241,46 +241,72 @@ def test_empty_cluster_reseed_duplicate_seeds():
         assert sizes.sum() == 3
 
 
-@pytest.mark.parametrize("dim", [1, 2, 9, 16, 37, 768])
-@pytest.mark.parametrize("chunk", [1, 1000, clustering._STALE_CHUNK])
-def test_stale_distances_are_the_per_centroid_sums_bitwise(monkeypatch, dim, chunk):
-    """Stale distances taken in blocks of centroids and chunks of rows are
-    bit for bit the ``np.sum((X - c) ** 2, axis=1)`` of one centroid at a
-    time; a chunk of 1000 floats takes the 7 centroids in blocks of 3, 3
-    and 1 up to dim 333, one at a time above."""
-    rng = np.random.default_rng(dim)
-    X = rng.standard_normal((301, dim)) * rng.choice([1e-3, 1.0, 1e5], size=dim)
-    stale = rng.standard_normal((7, dim))
-    monkeypatch.setattr(clustering, "_STALE_CHUNK", chunk)
-    got = list(_stale_dists(X, stale))
-    assert len(got) == len(stale)
-    for c, row in zip(stale, got):
-        assert row.tobytes() == np.sum((X - c) ** 2, axis=1).tobytes()
+def assert_matches_the_reference_loops(d, seeds, cfg, lam):
+    """Fit from ``seeds`` and compare with ``reference_lloyd`` at lam 0 and
+    ``reference_logan_fit`` above, bit for bit; return the model."""
+    model = logan_fit(d, cfg, lam, initial_centroids=seeds)
+    if lam == 0.0:
+        assign, centroids, trace, iterations, converged = reference_lloyd(d, seeds, cfg)
+    else:
+        assign, centroids, trace, iterations, converged = reference_logan_fit(
+            d, seeds, cfg, lam
+        )
+    assert model.assignment.tolist() == np.asarray(assign).tolist()
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
+    assert (model.iterations_run, model.converged) == (iterations, converged)
+    return model
 
 
 @pytest.mark.parametrize("dim", [2, 9, 16, 37, 768])
-@pytest.mark.parametrize("chunk", [1, 40, clustering._STALE_CHUNK])
-def test_many_reseeds_match_the_reference_loops_exactly(monkeypatch, dim, chunk):
+@pytest.mark.parametrize("rows", [1, 40, 262144])
+def test_many_reseeds_match_the_reference_loops_exactly(monkeypatch, dim, rows):
     """Six distinct points, each repeated: twelve seeds of which only six
-    are distinct leave clusters empty, and every one is re-seeded; a chunk
-    of 40 floats takes the stale centroids two at a time up to dim 20."""
+    are distinct leave clusters empty, and every one is re-seeded.  The
+    re-seed ranks donors by ``_sq_dists``; blocks of one row take the 18
+    rows one at a time, and blocks of 40 or 262144 rows take them at once."""
     rng = np.random.default_rng(dim)
     X = np.repeat(rng.standard_normal((6, dim)) * 3.0, 3, axis=0)
     groups = ["a", "b"] * 9
     labels = rng.integers(0, 2, size=18)
     d = make_dataset(X, groups, labels, np.where(rng.random(18) < 0.7, labels, 1 - labels))
     seeds = X[rng.integers(18, size=12)]
-    cfg = cfg_for(12, min_clusters=1)
-    monkeypatch.setattr(clustering, "_STALE_CHUNK", chunk)
+    monkeypatch.setattr(clustering, "_SQ_DISTS_ROWS", rows)
     for lam in (0.0, 5.0):
-        model = logan_fit(d, cfg, lam, initial_centroids=seeds)
-        fit = reference_lloyd if lam == 0.0 else reference_logan_fit
-        args = (d, seeds, cfg) if lam == 0.0 else (d, seeds, cfg, lam)
-        assign, centroids, trace, iterations, converged = fit(*args)
-        assert model.assignment.tolist() == np.asarray(assign).tolist()
-        assert model.centroids.tobytes() == centroids.tobytes()
-        assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
-        assert (model.iterations_run, model.converged) == (iterations, converged)
+        assert_matches_the_reference_loops(d, seeds, cfg_for(12, min_clusters=1), lam)
+
+
+def test_reseed_from_a_seed_too_far_to_square():
+    """Every squared distance to the seed 1e200 overflows, so every row
+    joins cluster 0 and the re-seed of cluster 1 sees inf for each donor:
+    it takes row 0, the lowest index, without a floating-point warning."""
+    feats = [[float(i)] for i in range(6)]
+    d = make_dataset(feats, ["a", "b"] * 3, [1, 0, 1, 1, 0, 1], [1, 1, 1, 0, 0, 1])
+    seeds = np.array([[0.0], [1e200]])
+    for lam in (0.0, 5.0):
+        model = assert_matches_the_reference_loops(d, seeds, cfg_for(2), lam)
+        assert model.assignment.tolist() == [1, 1, 0, 0, 0, 0]
+        assert model.centroids.ravel().tolist() == [3.5, 0.5]
+        assert model.iterations_run == 2
+
+
+def test_reseed_ranks_donors_by_sq_dists_at_d16():
+    """Rows 0 and 1 hold the same coordinates in two orders, so in exact
+    arithmetic they are equally far from the emptied cluster's seed at the
+    origin.  Summed left to right, as ``_sq_dists`` sums, row 0 is the
+    farther; numpy's pairwise ``np.sum`` ranks row 1 farther.  The re-seed
+    takes row 0, which keeps cluster 1 to itself."""
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(16)
+    X = np.stack([4.0 + v, 4.0 + v[rng.permutation(16)], np.full(16, 4.0), np.full(16, 3.6)])
+    far = _sq_dists(np.ascontiguousarray(X.T), np.zeros((1, 16)))[:, 0]
+    assert far[0] > far[1] > far[2:].max()
+    assert np.sum(X[0] ** 2) < np.sum(X[1] ** 2)
+    d = make_dataset(X, ["a", "b", "a", "b"], [1, 1, 1, 0], [1, 0, 1, 1])
+    seeds = np.stack([np.full(16, 4.0), np.zeros(16)])
+    for lam in (0.0, 5.0):
+        model = assert_matches_the_reference_loops(d, seeds, cfg_for(2), lam)
+        assert model.assignment.tolist() == [1, 0, 0, 0]
 
 
 def test_sequential_sweep_matches_batch_at_lambda_zero():
@@ -450,7 +476,7 @@ def _sweep_args(X, dist, assign, g, w):
     kinds = 2 * g.astype(np.intp) + w
     counts = [[int(np.sum((assign == j) & (kinds == a))) for a in range(4)] for j in range(k)]
     ref = (assign.tolist(), n1, n2, c1, c2, term, sums)
-    got = (np.array(assign, dtype=np.intp), counts, list(term), sums.copy())
+    got = (np.array(assign, dtype=np.intp), counts, sums.copy())
     return ref, got, kinds
 
 
@@ -470,8 +496,8 @@ def test_blocked_sweep_matches_sequential_loop_exactly(state):
     assert got_moves == ref_moves
     assert got[0].tolist() == ref[0]
     assert got[1] == _kind_counts(*ref[1:5])
-    assert np.array(got[2]).tobytes() == np.array(ref[5]).tobytes()
-    assert got[3].tobytes() == ref[6].tobytes()
+    assert np.array([_gap_term(c) for c in got[1]]).tobytes() == np.array(ref[5]).tobytes()
+    assert got[2].tobytes() == ref[6].tobytes()
 
 
 def test_blocked_sweep_sums_each_delta_in_the_loops_order():
@@ -510,8 +536,8 @@ def test_blocked_sweep_updates_sums_in_move_order():
     ) == 2
     assert _sweep_blocked(X, dist, *got, kinds, 1.0, order) == 2
     assert got[0].tolist() == ref[0] == [0, 1, 0, 1]
-    assert got[3].tobytes() == ref[6].tobytes()
-    assert got[3][:, 0].tolist() == [0.0, 1.0]
+    assert got[2].tobytes() == ref[6].tobytes()
+    assert got[2][:, 0].tolist() == [0.0, 1.0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -706,7 +732,7 @@ def test_sq_dists_single_instance_and_overflow():
 
 def test_lloyd_bounds_evaluate_every_row_when_distances_may_overflow():
     cols = np.array([[0.0, 1.0, 2.0]])
-    bounds = _LloydBounds(cols, 2)
+    bounds = _LloydBounds(cols, np.empty((3, 2)))
     bounds.upper[:] = 0.0
     bounds.lower[:] = 1.0  # certify every row
     assign = np.zeros(3, dtype=np.intp)

@@ -905,14 +905,18 @@ PINNED_REPORTS = {
     "detect": "b4afb08f00d5de450c49fea1f6b746d85bde20e0e2bea605924dc9268382b0c3",
     "baseline": "d321265830789d9b870b8d1ee520e300c6d1f1935bd07ffa62731d602ad3b6e8",
     "detect-text": "062c6733304ec1d27676cfb634b4181039d25a582f934b7afa0ed4d2a7e42bfa",
+    # d = 16, where numpy's pairwise sums and _sq_dists' left-to-right ones
+    # can differ
+    "detect-16d": "b35f22d5b3b7b29fb6a7027598b64c44946402b663c1ac6ec06db85aec8287a6",
 }
 
 
 @pytest.mark.parametrize("mode", sorted(PINNED_REPORTS))
 def test_report_bytes_pinned(tmp_path, mode):
     path = tmp_path / "input.jsonl"
-    if mode == "detect":
-        write_jsonl(generate(PlantedBiasSpec(n_per_component=80, seed=0)), path)
+    if mode in ("detect", "detect-16d"):
+        dim = 16 if mode == "detect-16d" else 2
+        write_jsonl(generate(PlantedBiasSpec(n_per_component=80, dim=dim, seed=0)), path)
         args = ["detect"]
     else:
         write_lines(path, [json.dumps(row) for row in _text_rows()])
