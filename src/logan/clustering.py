@@ -97,10 +97,17 @@ plain per-pair loop does.  Summing in any other order
 (``np.sum``, ``einsum``, the ``|x|^2 - 2 x.c + |c|^2`` expansion) changes
 low bits of the distances, and through ties and the sweep, the fits.
 
-Every accepted sweep move has non-positive delta and the centroid update
-can only lower the clustering loss, so the recorded per-iteration totals
-are non-increasing except across a re-seed, which is a forced assignment
-change outside the delta rule.
+A fit computes no objective while it runs.  It logs each state (the
+state after initialization, then the state after each iteration) as a copy
+of its k centroids and the rows whose cluster changed since the previous
+state, taken from the assignment step's and the re-seeds' own lists of
+moves; only the first state's assignment is kept in full.
+``ClusterModel.objective_trace`` replays the log on demand: the
+clustering loss by ``inertia``, the bias loss from kind counts recounted
+per state.  Every accepted sweep move has non-positive delta and the
+centroid update can only lower the clustering loss, so the per-state
+totals are non-increasing except across a re-seed, which is a forced
+assignment change outside the delta rule.
 """
 
 from __future__ import annotations
@@ -114,21 +121,72 @@ import numpy as np
 from .data import Dataset, LoganConfig, ValidationError
 
 
+def inertia(X: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> float:
+    """Sum of squared distances from the rows of ``X`` to their assigned
+    centroid: the clustering loss of the objective."""
+    diffs = X - centroids[assignment]
+    return float(np.einsum("ij,ij->", diffs, diffs))
+
+
+def _kinds(dataset: Dataset) -> np.ndarray:
+    """Each instance's kind, ``2 * group + correct``."""
+    return 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
+
+
+@dataclass(frozen=True, eq=False)
+class FitLog:
+    """The states a fit passed through, logged cheaply enough to keep every
+    one: state 0 is the state after initialization (nearest-seed assignment
+    plus one centroid update), each later state the state after one full
+    iteration (sweep + centroid update).
+
+    ``centroids[t]`` holds state t's centroids and ``start`` state 0's
+    assignment.  ``moves[t - 1]`` holds the rows whose cluster changed from
+    state t - 1 to state t and their new clusters, in the order the fit
+    moved them: a row a re-seed takes after its sweep move is listed twice,
+    and numpy's fancy assignment leaves it at its last entry.
+    """
+
+    lam: float
+    start: np.ndarray
+    centroids: tuple[np.ndarray, ...]
+    moves: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def replay(self, dataset: Dataset) -> tuple[tuple[float, float, float], ...]:
+        """One ``(clustering_loss, bias_loss, total)`` triple per state, with
+        the bias loss summed over the clusters' gap terms in cluster order."""
+        if len(self.start) != dataset.n:
+            raise ValueError(f"the fit saw {len(self.start)} rows, the dataset has {dataset.n}")
+        X = dataset.feature_matrix
+        kinds = _kinds(dataset)
+        k = len(self.centroids[0])
+        assign = self.start.astype(np.intp)
+        trace = []
+        for t, centroids in enumerate(self.centroids):
+            if t:
+                rows, to = self.moves[t - 1]
+                assign[rows] = to
+            counts = np.bincount(4 * assign + kinds, minlength=4 * k).reshape(k, 4).tolist()
+            l_c = inertia(X, centroids, assign)
+            l_b = -float(sum(map(_gap_term, counts)))
+            trace.append((l_c, l_b, l_c + self.lam * l_b))
+        return tuple(trace)
+
+
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
-    """Result of one fitted run: centroids, assignments, objective trace.
+    """Result of one fitted run: centroids, assignments and the log of the
+    states the fit passed through.
 
-    ``objective_trace`` holds one ``(clustering_loss, bias_loss, total)``
-    triple per recorded state: index 0 is the state after initialization
-    (nearest-seed assignment plus one centroid update), each following
-    entry the state after one full iteration (sweep + centroid update).
+    ``log`` is None for a model built by hand, whose objective trace is
+    empty.  A model merged from a fit keeps the fit's log.
     """
 
     centroids: np.ndarray
     assignment: np.ndarray
-    objective_trace: tuple[tuple[float, float, float], ...]
     converged: bool
     iterations_run: int
+    log: FitLog | None = None
 
     @property
     def n_clusters(self) -> int:
@@ -136,6 +194,12 @@ class ClusterModel:
 
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.n_clusters)
+
+    def objective_trace(self, dataset: Dataset) -> tuple[tuple[float, float, float], ...]:
+        """One ``(clustering_loss, bias_loss, total)`` triple per state of
+        the fit (see ``FitLog``), computed from the log on ``dataset``, the
+        fit's data."""
+        return () if self.log is None else self.log.replay(dataset)
 
 
 def kmeanspp_init(dataset: Dataset, k: int, seed: int) -> np.ndarray:
@@ -263,10 +327,13 @@ class _LloydBounds:
     def invalidate(self, i: int) -> None:
         self.upper[i] = np.inf
 
-    def nearest(self, centroids: np.ndarray, assign: np.ndarray) -> int:
+    def nearest(
+        self, centroids: np.ndarray, assign: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Set ``assign`` to the argmin of the full ``_sq_dists`` matrix
-        (lowest index on ties) and return the number of rows that changed
-        cluster; only rows the bounds cannot certify are evaluated."""
+        (lowest index on ties) and return the rows that changed cluster and
+        their new clusters; only rows the bounds cannot certify are
+        evaluated."""
         with np.errstate(over="ignore", invalid="ignore"):
             span = np.maximum(self.box[1], centroids.max(axis=0)) - np.minimum(
                 self.box[0], centroids.min(axis=0)
@@ -287,7 +354,8 @@ class _LloydBounds:
         dist = _sq_dists(cols, centroids, out=self.dist[: len(rows)])
         _check_finite(dist)
         best = dist.argmin(axis=1)
-        moves = int(np.count_nonzero(best != assign[rows]))
+        changed = best != assign[rows]
+        moved = (rows[changed], best[changed])
         assign[rows] = best
         at_best = (np.arange(len(rows)), best)
         own = dist[at_best]
@@ -295,7 +363,7 @@ class _LloydBounds:
         up, down = self.fresh
         self.upper[rows] = np.sqrt(own + self.err) * up
         self.lower[rows] = np.sqrt(np.maximum(dist.min(axis=1) - self.err, 0.0)) * down
-        return moves
+        return moved
 
     def shift(self, old: np.ndarray, new: np.ndarray, assign: np.ndarray) -> None:
         """Loosen the bounds by how far the centroids moved from ``old`` to
@@ -350,10 +418,11 @@ def _sweep_blocked(
     kinds: np.ndarray,
     lam: float,
     order: np.ndarray,
-) -> int:
+) -> tuple[np.ndarray, np.ndarray]:
     """One greedy assignment sweep with centroids fixed, visiting the
-    instances in ``order``, a permutation; returns the number of moves
-    applied and updates ``assign``, ``counts`` and ``sums`` in place.
+    instances in ``order``, a permutation; returns the moved instances and
+    their new clusters, in move order, and updates ``assign``, ``counts``
+    and ``sums`` in place.
     ``kinds`` holds each instance's kind.
 
     ``dist`` holds the (n, k) squared distances and is only read.  The
@@ -408,12 +477,12 @@ def _sweep_blocked(
         movers.append((i, p, q))
         start = v + 1
         length = max(2 * (r + 1), _MIN_BLOCK)
+    applied = np.array(movers, dtype=np.intp).reshape(-1, 3)
     if movers:
         # clusters [p1, q1, p2, q2, ...] get [-x1, x1, -x2, x2, ...], in order
-        applied = np.array(movers)
         x = X[applied[:, 0]]
         np.add.at(sums, applied[:, 1:].ravel(), np.stack((-x, x), axis=1).reshape(-1, X.shape[1]))
-    return len(movers)
+    return applied[:, 0], applied[:, 2]
 
 
 def _fit_core(
@@ -429,12 +498,13 @@ def _fit_core(
 
     At lambda > 0 the distances to the seeds are kept, and before each
     sweep only the columns of the centroids that changed since their last
-    computation are recomputed (see the module docstring)."""
+    computation are recomputed (see the module docstring).  The states are
+    logged in a ``FitLog``; no objective is computed here."""
     X = dataset.feature_matrix
     cols = np.ascontiguousarray(X.T)
     n = len(X)
     k = len(centroids)
-    kinds = 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
+    kinds = _kinds(dataset)
     order = np.arange(n) if sweep_order is None else np.asarray(sweep_order, np.intp)
 
     def tallies(assign: np.ndarray):
@@ -454,15 +524,7 @@ def _fit_core(
         bounds = _LloydBounds(cols, dist)  # from here on ``dist`` is its scratch
     else:
         seen = centroids.copy()  # the centroids of the columns of ``dist``
-    gathered = np.empty_like(X, order="C")
-
-    def record() -> tuple[float, float, float]:
-        # mode="clip" writes straight into ``out``; "raise" would buffer.
-        np.take(centroids, assign, axis=0, mode="clip", out=gathered)
-        diffs = np.subtract(X, gathered, out=gathered)
-        l_c = float(np.einsum("ij,ij->", diffs, diffs))
-        l_b = -float(sum(map(_gap_term, counts)))
-        return (l_c, l_b, l_c + lam * l_b)
+    reseeds: list[tuple[int, int]] = []  # (donor, emptied cluster) since the last state
 
     def update_centroids() -> None:
         # Re-seed each emptied cluster, in ascending order, with the instance
@@ -481,6 +543,7 @@ def _fit_core(
             sums[e] += X[donor]
             sizes[p] -= 1
             sizes[e] += 1
+            reseeds.append((donor, e))
             if lam == 0.0:
                 bounds.invalidate(donor)
         centroids[:] = sums / sizes[:, None]
@@ -488,42 +551,47 @@ def _fit_core(
     # Initial half-step: nearest-seed assignment plus one centroid update,
     # so the first sweep already works against cluster means.
     update_centroids()
-    trace = [record()]
+    # the one (n,) array of the log, in the narrowest type that holds k - 1
+    start = assign.astype(np.min_scalar_type(k - 1))
+    snapshots = [centroids.copy()]
+    moves: list[tuple[np.ndarray, np.ndarray]] = []
     converged = False
     iterations = 0
     for _ in range(cfg.max_iter):
         iterations += 1
+        reseeds.clear()
         if lam == 0.0:
             # Bias term is inert: the sequential sweep reduces to batch
             # nearest-centroid assignment (ties toward the lowest index).
-            moves = bounds.nearest(centroids, assign)
-            if moves:
+            rows, to = bounds.nearest(centroids, assign)
+            if len(rows):
                 counts, sums = tallies(assign)
-            previous = centroids.copy()
             update_centroids()
-            bounds.shift(previous, centroids, assign)
+            bounds.shift(snapshots[-1], centroids, assign)
         else:
             stale = np.flatnonzero(np.any(centroids != seen, axis=1))
             if len(stale):
                 dist[:, stale] = _sq_dists(cols, centroids[stale])
                 seen[stale] = centroids[stale]
-            moves = _sweep_blocked(X, dist, assign, counts, sums, kinds, lam, order)
+            rows, to = _sweep_blocked(X, dist, assign, counts, sums, kinds, lam, order)
             update_centroids()
-        trace.append(record())
-        if moves == 0:
+        snapshots.append(centroids.copy())
+        donors, emptied = np.array(reseeds, dtype=np.intp).reshape(-1, 2).T
+        moves.append((np.concatenate((rows, donors)), np.concatenate((to, emptied))))
+        if len(rows) == 0:
             converged = True
             break
 
     assignment = assign.astype(np.int64)
     assignment.setflags(write=False)
-    final_centroids = centroids.copy()
+    final_centroids = snapshots[-1]  # the last state's, shared with the log
     final_centroids.setflags(write=False)
     return ClusterModel(
         centroids=final_centroids,
         assignment=assignment,
-        objective_trace=tuple(trace),
         converged=converged,
         iterations_run=iterations,
+        log=FitLog(lam, start, tuple(snapshots), tuple(moves)),
     )
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import ClusterModel
+from .clustering import ClusterModel, inertia
 from .data import Dataset, LoganConfig
 from .metrics import GapResult, MetricKind, counts, group_gaps, table_gaps
 
@@ -70,12 +70,6 @@ class ComparisonReport:
     n_instances_biased: int
 
 
-def inertia(dataset: Dataset, model: ClusterModel) -> float:
-    """Sum of squared distances from instances to their assigned centroid."""
-    diffs = dataset.feature_matrix - model.centroids[model.assignment]
-    return float(np.einsum("ij,ij->", diffs, diffs))
-
-
 def merge_small_clusters(
     model: ClusterModel, dataset: Dataset, cfg: LoganConfig
 ) -> ClusterModel:
@@ -121,9 +115,9 @@ def merge_small_clusters(
     return ClusterModel(
         centroids=new_centroids,
         assignment=new_assign,
-        objective_trace=model.objective_trace,
         converged=model.converged,
         iterations_run=model.iterations_run,
+        log=model.log,
     )
 
 
@@ -217,7 +211,8 @@ def cluster_reports(
         corpus = per_cluster.sum(axis=0).tolist()
         corpus_total = sum(corpus)
         with_text = [text is not None for text in dataset.texts]
-        for j in np.unique(model.assignment[with_text]).tolist():
+        texted = np.bincount(model.assignment[with_text], minlength=k)
+        for j in np.flatnonzero(texted).tolist():
             present = np.flatnonzero(per_cluster[j]).tolist()
             count = per_cluster[j, present].tolist()
             total = sum(count)
@@ -261,8 +256,9 @@ def compare(
     ``reports``, the candidate's ``cluster_reports``.  Empty denominators
     yield 0 by definition.
     """
-    inertia_candidate = inertia(dataset, candidate)
-    inertia_baseline = inertia(dataset, baseline)
+    X = dataset.feature_matrix
+    inertia_candidate = inertia(X, candidate.centroids, candidate.assignment)
+    inertia_baseline = inertia(X, baseline.centroids, baseline.assignment)
     ratio = None if inertia_baseline == 0.0 else inertia_candidate / inertia_baseline
     detectable = [r for r in reports if r.detectable]
     biased = [r for r in detectable if r.biased]

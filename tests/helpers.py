@@ -288,9 +288,9 @@ def reference_merge_small_clusters(
     return ClusterModel(
         centroids=np.stack([centroids[old] for old in live]),
         assignment=np.searchsorted(live, owner)[model.assignment],
-        objective_trace=model.objective_trace,
         converged=model.converged,
         iterations_run=model.iterations_run,
+        log=model.log,
     )
 
 

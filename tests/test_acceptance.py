@@ -58,7 +58,7 @@ def test_criterion_2_monotone_descent():
     runs = 0
     for dataset, cfg, lam in _random_run_grid(100):
         model = logan_fit(dataset, cfg, lam)
-        totals = [step[2] for step in model.objective_trace]
+        totals = [step[2] for step in model.objective_trace(dataset)]
         for earlier, later in zip(totals, totals[1:]):
             assert later <= earlier + 1e-9 * abs(earlier), (
                 f"objective rose: {earlier} -> {later} (lam={lam}, seed={cfg.seed})"
@@ -92,14 +92,14 @@ def test_criterion_4_oracle_bound():
         cfg = LoganConfig(k=2, seed=trial, min_clusters=2)
         model = logan_fit(dataset, cfg, lam)
         oracle_total, _ = brute_force_objective(dataset, k=2, lam=lam)
-        assert oracle_total <= model.objective_trace[-1][2] + 1e-9
+        assert oracle_total <= model.objective_trace(dataset)[-1][2] + 1e-9
         if lam == 0.0:
             finals = []
             for restart in range(10):
                 restarted = logan_fit(
                     dataset, LoganConfig(k=2, seed=restart, min_clusters=2), 0.0
                 )
-                finals.append(restarted.objective_trace[-1][2])
+                finals.append(restarted.objective_trace(dataset)[-1][2])
             tolerance = 1e-9 * max(1.0, abs(oracle_total))
             assert min(finals) <= oracle_total + tolerance, (
                 f"no restart reached the enumerated optimum on trial {trial}"
@@ -182,7 +182,6 @@ def test_criterion_7_merge_contract():
         model = ClusterModel(
             centroids=centroids,
             assignment=np.array(assignment, dtype=np.int64),
-            objective_trace=((0.0, 0.0, 0.0),),
             converged=True,
             iterations_run=1,
         )

@@ -21,6 +21,7 @@ from logan.clustering import (
     logan_fit,
 )
 from logan.data import LoganConfig, ValidationError, build_dataset
+from logan.postprocess import merge_small_clusters
 from logan.synthetic import PlantedBiasSpec, brute_force_objective, generate
 
 from helpers import (
@@ -33,6 +34,7 @@ from helpers import (
     reference_best_single_move_delta,
     reference_lloyd,
     reference_logan_fit,
+    reference_merge_small_clusters,
     rows_from_arrays,
 )
 
@@ -147,7 +149,7 @@ def test_kmeans_inertia_never_increases():
     for seed in range(5):
         d = random_dataset(rng, 150, dim=2, n_blobs=4)
         model = kmeans_fit(d, cfg_for(6, seed=seed))
-        inertias = [step[0] for step in model.objective_trace]
+        inertias = [step[0] for step in model.objective_trace(d)]
         for earlier, later in zip(inertias, inertias[1:]):
             assert later <= earlier + 1e-9 * abs(earlier)
 
@@ -160,7 +162,7 @@ def test_fit_deterministic_same_seed():
     b = logan_fit(d, cfg, 10.0)
     assert a.centroids.tobytes() == b.centroids.tobytes()
     assert np.array_equal(a.assignment, b.assignment)
-    assert a.objective_trace == b.objective_trace
+    assert a.objective_trace(d) == b.objective_trace(d)
     assert a.converged == b.converged
     assert a.iterations_run == b.iterations_run
 
@@ -172,10 +174,10 @@ def test_trace_monotone_and_bias_loss_bounded():
         d = random_dataset(rng, int(rng.integers(40, 140)), dim=2)
         k = int(rng.integers(2, 7))
         model = logan_fit(d, cfg_for(k, seed=trial), lam)
-        totals = [step[2] for step in model.objective_trace]
+        totals = [step[2] for step in model.objective_trace(d)]
         for earlier, later in zip(totals, totals[1:]):
             assert later <= earlier + 1e-9 * abs(earlier)
-        for _, l_b, _ in model.objective_trace:
+        for _, l_b, _ in model.objective_trace(d):
             assert -k <= l_b <= 0.0
 
 
@@ -187,8 +189,9 @@ def test_incremental_stats_match_scratch_recompute():
     means = stats.sums / stats.sizes[:, None]
     assert np.allclose(means, model.centroids, rtol=1e-9, atol=1e-12)
     l_c, l_b, _ = objective(d, stats, model.assignment, lam=25.0)
-    assert model.objective_trace[-1][0] == pytest.approx(l_c, rel=1e-12)
-    assert model.objective_trace[-1][1] == l_b
+    trace = model.objective_trace(d)
+    assert trace[-1][0] == pytest.approx(l_c, rel=1e-12)
+    assert trace[-1][1] == l_b
 
 
 def test_local_minimum_certificate_on_converged_runs():
@@ -213,7 +216,7 @@ def test_oracle_lower_bound_tiny_instances():
             cfg = cfg_for(2, seed=trial, min_clusters=2)
             model = logan_fit(d, cfg, lam)
             oracle_total, _ = brute_force_objective(d, k=2, lam=lam)
-            assert oracle_total <= model.objective_trace[-1][2] + 1e-9
+            assert oracle_total <= model.objective_trace(d)[-1][2] + 1e-9
 
 
 def test_oracle_splits_distant_pairs():
@@ -253,9 +256,20 @@ def assert_matches_the_reference_loops(d, seeds, cfg, lam):
         )
     assert model.assignment.tolist() == np.asarray(assign).tolist()
     assert model.centroids.tobytes() == centroids.tobytes()
-    assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
+    assert np.array(model.objective_trace(d)).tobytes() == np.array(trace).tobytes()
     assert (model.iterations_run, model.converged) == (iterations, converged)
     return model
+
+
+def _repeated_points(dim):
+    """Six distinct points, each repeated three times, and twelve seeds
+    drawn from the rows, of which at most six are distinct."""
+    rng = np.random.default_rng(dim)
+    X = np.repeat(rng.standard_normal((6, dim)) * 3.0, 3, axis=0)
+    groups = ["a", "b"] * 9
+    labels = rng.integers(0, 2, size=18)
+    d = make_dataset(X, groups, labels, np.where(rng.random(18) < 0.7, labels, 1 - labels))
+    return d, X[rng.integers(18, size=12)]
 
 
 @pytest.mark.parametrize("dim", [2, 9, 16, 37, 768])
@@ -265,15 +279,69 @@ def test_many_reseeds_match_the_reference_loops_exactly(monkeypatch, dim, rows):
     are distinct leave clusters empty, and every one is re-seeded.  The
     re-seed ranks donors by ``_sq_dists``; blocks of one row take the 18
     rows one at a time, and blocks of 40 or 262144 rows take them at once."""
-    rng = np.random.default_rng(dim)
-    X = np.repeat(rng.standard_normal((6, dim)) * 3.0, 3, axis=0)
-    groups = ["a", "b"] * 9
-    labels = rng.integers(0, 2, size=18)
-    d = make_dataset(X, groups, labels, np.where(rng.random(18) < 0.7, labels, 1 - labels))
-    seeds = X[rng.integers(18, size=12)]
+    d, seeds = _repeated_points(dim)
     monkeypatch.setattr(clustering, "_SQ_DISTS_ROWS", rows)
     for lam in (0.0, 5.0):
         assert_matches_the_reference_loops(d, seeds, cfg_for(12, min_clusters=1), lam)
+
+
+def _count_moves(monkeypatch):
+    """Patch ``_LloydBounds.nearest`` and ``_apply_move`` to count, in the
+    returned one-entry list, every row a fit moves: the rows whose cluster
+    the lambda = 0 assignment changes, the sweep moves and the re-seeds."""
+    moved = [0]
+    nearest = _LloydBounds.nearest
+    apply_move = clustering._apply_move
+
+    def counting_nearest(self, centroids, assign):
+        before = assign.copy()
+        result = nearest(self, centroids, assign)
+        moved[0] += int(np.count_nonzero(assign != before))
+        return result
+
+    def counting_apply_move(*args):
+        moved[0] += 1
+        apply_move(*args)
+
+    monkeypatch.setattr(_LloydBounds, "nearest", counting_nearest)
+    monkeypatch.setattr(clustering, "_apply_move", counting_apply_move)
+    return moved
+
+
+def _log_cases():
+    """(dataset, seeds, config) of a fit with many moves and of one that
+    re-seeds in every iteration (k exceeds the number of distinct rows)."""
+    d = generate(PlantedBiasSpec(n_per_component=60, seed=0))
+    yield d, kmeanspp_init(d, 5, seed=0), cfg_for(5, min_clusters=2, min_cluster_total=70)
+    d, seeds = _repeated_points(2)
+    yield d, seeds, cfg_for(12, min_clusters=1, min_cluster_total=4, max_iter=6)
+
+
+@pytest.mark.parametrize("lam", [0.0, 5.0])
+def test_fit_log_holds_every_state_and_only_the_rows_that_moved(monkeypatch, lam):
+    """One centroid snapshot per state, the last one the model's, and no
+    more row entries than the fit made moves and re-seeds."""
+    for d, seeds, cfg in _log_cases():
+        moved = _count_moves(monkeypatch)
+        model = logan_fit(d, cfg, lam, initial_centroids=seeds)
+        log = model.log
+        assert len(log.centroids) == model.iterations_run + 1
+        assert len(log.moves) == model.iterations_run
+        assert log.centroids[-1].tobytes() == model.centroids.tobytes()
+        assert len(log.start) == d.n
+        assert all(len(rows) == len(to) for rows, to in log.moves)
+        assert 0 < sum(len(rows) for rows, _ in log.moves) <= moved[0]
+
+
+@pytest.mark.parametrize("lam", [0.0, 5.0])
+def test_merged_model_keeps_its_fit_trace(lam):
+    for d, seeds, cfg in _log_cases():
+        model = logan_fit(d, cfg, lam, initial_centroids=seeds)
+        trace = np.array(model.objective_trace(d)).tobytes()
+        for merge in (merge_small_clusters, reference_merge_small_clusters):
+            merged = merge(model, d, cfg)
+            assert merged.n_clusters < model.n_clusters
+            assert np.array(merged.objective_trace(d)).tobytes() == trace
 
 
 def test_reseed_from_a_seed_too_far_to_square():
@@ -492,8 +560,9 @@ def test_blocked_sweep_matches_sequential_loop_exactly(state):
     ref_moves = _sweep_sequential(
         X, dist.tolist(), *ref, g.tolist(), w.tolist(), lam, order.tolist()
     )
-    got_moves = _sweep_blocked(X, dist, *got, kinds, lam, order)
-    assert got_moves == ref_moves
+    rows, to = _sweep_blocked(X, dist, *got, kinds, lam, order)
+    assert len(rows) == len(to) == ref_moves
+    assert got[0][rows].tolist() == to.tolist()
     assert got[0].tolist() == ref[0]
     assert got[1] == _kind_counts(*ref[1:5])
     assert np.array([_gap_term(c) for c in got[1]]).tobytes() == np.array(ref[5]).tobytes()
@@ -515,7 +584,8 @@ def test_blocked_sweep_sums_each_delta_in_the_loops_order():
     assert _sweep_sequential(
         X, dist.tolist(), *ref, g.tolist(), w.tolist(), 1.0, order.tolist()
     ) == 1
-    assert _sweep_blocked(X, dist, *got, kinds, 1.0, order) == 1
+    rows, to = _sweep_blocked(X, dist, *got, kinds, 1.0, order)
+    assert (rows.tolist(), to.tolist()) == ([0], [1])
     assert got[0].tolist() == ref[0] == [1, 0, 1, 1, 1, 1]
 
 
@@ -534,7 +604,8 @@ def test_blocked_sweep_updates_sums_in_move_order():
     assert _sweep_sequential(
         X, dist.tolist(), *ref, g.tolist(), w.tolist(), 1.0, order.tolist()
     ) == 2
-    assert _sweep_blocked(X, dist, *got, kinds, 1.0, order) == 2
+    rows, to = _sweep_blocked(X, dist, *got, kinds, 1.0, order)
+    assert (rows.tolist(), to.tolist()) == ([0, 1], [0, 1])
     assert got[0].tolist() == ref[0] == [0, 1, 0, 1]
     assert got[2].tobytes() == ref[6].tobytes()
     assert got[2][:, 0].tolist() == [0.0, 1.0]
@@ -552,7 +623,6 @@ def test_best_single_move_delta_matches_loop_exactly(state, lam):
     model = ClusterModel(
         centroids=centroids,
         assignment=assign,
-        objective_trace=(),
         converged=False,
         iterations_run=0,
     )
@@ -611,7 +681,7 @@ def test_kmeans_fit_matches_full_argmin_lloyd_exactly(state):
     assign, centroids, trace, iterations, converged = reference_lloyd(d, seeds, cfg)
     assert model.assignment.tolist() == assign.tolist()
     assert model.centroids.tobytes() == centroids.tobytes()
-    assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
+    assert np.array(model.objective_trace(d)).tobytes() == np.array(trace).tobytes()
     assert model.iterations_run == iterations
     assert model.converged == converged
 
@@ -635,7 +705,7 @@ def test_logan_fit_matches_sequential_reference_exactly(state, lam, permuted, se
     )
     assert model.assignment.tolist() == assign.tolist()
     assert model.centroids.tobytes() == centroids.tobytes()
-    assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
+    assert np.array(model.objective_trace(d)).tobytes() == np.array(trace).tobytes()
     assert model.iterations_run == iterations
     assert model.converged == converged
 
@@ -670,7 +740,7 @@ def test_warm_start_that_buys_nothing_reuses_every_distance_column(monkeypatch):
     assign, centroids, trace, _, _ = reference_logan_fit(d, kmeans.centroids, cfg, 5.0)
     assert model.assignment.tolist() == assign.tolist()
     assert model.centroids.tobytes() == centroids.tobytes()
-    assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
+    assert np.array(model.objective_trace(d)).tobytes() == np.array(trace).tobytes()
 
 
 def test_lambda_fit_recomputes_only_the_columns_of_moved_centroids(monkeypatch):
@@ -688,7 +758,7 @@ def test_lambda_fit_recomputes_only_the_columns_of_moved_centroids(monkeypatch):
     assign, centroids, trace, iterations, _ = reference_logan_fit(d, seeds, cfg, 10.0)
     assert model.assignment.tolist() == assign.tolist()
     assert model.centroids.tobytes() == centroids.tobytes()
-    assert np.array(model.objective_trace).tobytes() == np.array(trace).tobytes()
+    assert np.array(model.objective_trace(d)).tobytes() == np.array(trace).tobytes()
     assert model.iterations_run == iterations
 
 
@@ -736,7 +806,8 @@ def test_lloyd_bounds_evaluate_every_row_when_distances_may_overflow():
     bounds.upper[:] = 0.0
     bounds.lower[:] = 1.0  # certify every row
     assign = np.zeros(3, dtype=np.intp)
-    assert bounds.nearest(np.array([[0.0], [1.5]]), assign) == 0
+    rows, to = bounds.nearest(np.array([[0.0], [1.5]]), assign)
+    assert len(rows) == len(to) == 0
     assert assign.tolist() == [0, 0, 0]
     with pytest.raises(ValueError, match="overflow"):
         bounds.nearest(np.array([[0.0], [1e200]]), assign)

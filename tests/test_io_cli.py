@@ -23,6 +23,7 @@ import logan.io
 
 from logan import workers
 from logan.cli import _from_args, build_parser, main, run_detect
+from logan.clustering import FitLog
 from logan.data import LoganConfig, ValidationError, build_dataset
 from logan.io import (
     AuditReport,
@@ -911,8 +912,9 @@ PINNED_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(PINNED_REPORTS))
-def test_report_bytes_pinned(tmp_path, mode):
+def _pinned_report_sha256(tmp_path, mode):
+    """Audit the input of ``mode`` and hash its report as PINNED_REPORTS
+    does."""
     path = tmp_path / "input.jsonl"
     if mode in ("detect", "detect-16d"):
         dim = 16 if mode == "detect-16d" else 2
@@ -927,7 +929,24 @@ def test_report_bytes_pinned(tmp_path, mode):
     report = json.loads(out.read_text(encoding="utf-8"))
     del report["provenance"]["created_at"], report["provenance"]["input"]
     text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[mode]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(tmp_path, mode):
+    assert _pinned_report_sha256(tmp_path, mode) == PINNED_REPORTS[mode]
+
+
+@pytest.mark.parametrize("mode", ["detect", "baseline"])
+def test_audits_compute_no_objective_trace(tmp_path, monkeypatch, mode):
+    """An audit reads no objective trace, so replaying a fit's log may
+    fail (in the forked grid workers too) with the report unchanged."""
+
+    def refuse(log, dataset):
+        raise AssertionError("an audit replayed a fit log")
+
+    monkeypatch.setattr(FitLog, "replay", refuse)
+    assert _pinned_report_sha256(tmp_path, mode) == PINNED_REPORTS[mode]
 
 
 def test_detect_standardize_flag(planted_file, tmp_path):
@@ -1111,6 +1130,33 @@ def test_import_leaves_process_pools_unloaded(tmp_path):
         code, loaded = seen[command]
         assert code in (0, 2)
         assert loaded == []
+
+
+_NUMPY_MA_PROBE = """
+import sys
+from logan import cli
+code = cli.main(["baseline", "--standardize", "--metrics", "accuracy,auc,fpr",
+                 "--input", sys.argv[1], "--output", sys.argv[2]])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_text_audit_leaves_numpy_ma_unloaded(tmp_path):
+    """A baseline audit whose every row has text imports no masked arrays
+    (``np.unique`` would, through its masked-array check)."""
+    path = tmp_path / "texts.jsonl"
+    write_lines(path, [json.dumps(row) for row in _text_rows()])
+    src = str(Path(logan.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_PROBE, str(path), str(tmp_path / "report.json")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, loaded = proc.stdout.split()[-2:]
+    assert code in ("0", "2")
+    assert loaded == "False"
 
 
 # ------------------------------------------------------- CLI fuzz (bounded)

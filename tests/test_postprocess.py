@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logan.clustering import ClusterModel, kmeans_fit
+from logan.clustering import ClusterModel, inertia, kmeans_fit
 from logan.data import LoganConfig
 from logan.metrics import MetricKind
 from logan.postprocess import (
     cluster_reports,
     compare,
-    inertia,
     merge_small_clusters,
     tokenize,
 )
@@ -30,7 +29,6 @@ def manual_model(centroids, assignment):
     return ClusterModel(
         centroids=centroids,
         assignment=assignment,
-        objective_trace=((0.0, 0.0, 0.0),),
         converged=True,
         iterations_run=1,
     )
@@ -254,7 +252,9 @@ def test_inertia_matches_trace():
     rng = np.random.default_rng(9)
     d = random_dataset(rng, 80)
     model = kmeans_fit(d, LoganConfig(k=4, min_clusters=4))
-    assert inertia(d, model) == pytest.approx(model.objective_trace[-1][0])
+    assert inertia(d.feature_matrix, model.centroids, model.assignment) == pytest.approx(
+        model.objective_trace(d)[-1][0]
+    )
 
 
 # ------------------------------------------------------------- token summary

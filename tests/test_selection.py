@@ -137,16 +137,16 @@ def text_file(tmp_path_factory):
     return path
 
 
-def assert_same_model(a, b):
+def assert_same_model(a, b, dataset):
     assert a.assignment.tobytes() == b.assignment.tobytes()
     assert a.centroids.tobytes() == b.centroids.tobytes()
-    assert repr(a.objective_trace) == repr(b.objective_trace)
+    assert repr(a.objective_trace(dataset)) == repr(b.objective_trace(dataset))
     assert (a.converged, a.iterations_run) == (b.converged, b.iterations_run)
 
 
 def assert_same_cell(a, b, dataset, cfg):
     assert repr(a.lam) == repr(b.lam)
-    assert_same_model(a.model, b.model)
+    assert_same_model(a.model, b.model, dataset)
     assert a.table.tobytes() == b.table.tobytes()
     assert repr(cluster_reports(a.model, dataset, cfg)) == repr(
         cluster_reports(b.model, dataset, cfg)
@@ -200,7 +200,7 @@ def test_baseline_cell_is_the_merged_kmeans_fit(monkeypatch, workers):
     force_workers(monkeypatch, workers)
     result = grid_search(d, cfg, grid, initial_centroids=seeds)
     kmeans = kmeans_fit(d, cfg, seeds)
-    assert_same_model(result.baseline.model, merge_small_clusters(kmeans, d, cfg))
+    assert_same_model(result.baseline.model, merge_small_clusters(kmeans, d, cfg), d)
     assert result.baseline.lam == 0.0
     assert [c.lam for c in result.cells] == grid
     # every other cell starts from the k-means fit, before merging
@@ -302,7 +302,7 @@ def test_weight_that_buys_nothing_costs_one_sweep(monkeypatch, workers):
     assert kmeans.converged and kmeans.iterations_run > 1
     force_workers(monkeypatch, workers)
     result = grid_search(d, cfg, [1.0, 5.0, 10.0, 100.0])
-    assert_same_model(result.baseline.model, kmeans)
+    assert_same_model(result.baseline.model, kmeans, d)
     for cell in result.cells:
         assert (cell.model.converged, cell.model.iterations_run) == (True, 1)
         assert cell.model.assignment.tobytes() == kmeans.assignment.tobytes()
@@ -327,7 +327,7 @@ def test_warm_start_ends_no_higher_in_fewer_iterations():
                 warm = logan_fit(d, cfg, lam, warm_start)
                 fits += 1
                 no_higher += np.array_equal(warm.assignment, cold.assignment) or (
-                    warm.objective_trace[-1][2] <= cold.objective_trace[-1][2]
+                    warm.objective_trace(d)[-1][2] <= cold.objective_trace(d)[-1][2]
                 )
                 cold_iterations += cold.iterations_run
                 warm_iterations += warm.iterations_run
