@@ -25,7 +25,6 @@ from .metrics import (
 )
 from .clustering import (
     ClusterModel,
-    kmeans_fit,
     kmeanspp_init,
     logan_fit,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "global_bias",
     "grid_search",
     "group_gaps",
-    "kmeans_fit",
     "kmeanspp_init",
     "logan_fit",
     "merge_small_clusters",

@@ -124,7 +124,7 @@ def run_detect(
         "config": {
             **to_plain(cfg),
             "standardize": standardize,
-            "lambdas": check_grid(lambdas) if detect else None,
+            "lambdas": [cell.lam for cell in grid.cells] if detect else None,
             "chosen_lambda": grid.chosen_lambda if detect else None,
             "metrics": metrics,
             "groups": dataset.groups,

@@ -38,22 +38,22 @@ sweep (or ``max_iter`` is hit):
 The sweep is evaluated in numpy blocks of consecutive visits, and is exact
 (bit-identical to the one-instance-at-a-time loop that
 ``tests/helpers.py`` keeps as the reference) for four reasons.  Centroids
-are fixed during a sweep, and the visit order is a permutation, so an
-instance is visited once and keeps its cluster p until then: its distance
-part ``D[i, q] - D[i, p]`` is fixed for the whole sweep and is computed
-once per sweep for every visit.  The bias part depends on the
-running counts only through one (8, k) table indexed by the instance's
-kind: rows 0-3 hold the reward lost by leaving a cluster and rows 4-7 the
-reward gained by joining it, both built from the kind counts with the same
-scalar arithmetic as the loop.  A delta adds its leave entry and then its
-join entry to its distance part, the loop's order.  A move changes only
-the two table columns of the clusters it touches.  So every row of a block
-before its first mover sees exactly the state the loop would, ``argmin``
-with the stay column set to 0.0 applies the loop's lowest-index tie-break,
-and after a move the sweep refreshes two columns and resumes right after
-the mover.  Deltas must be finite, because ``argmin`` picks a NaN where
-the loop's ``<`` never does; squared distances that overflow are rejected
-before the sweep.
+are fixed during a sweep, and an instance is visited once and keeps its
+cluster p until then: its distance part ``D[i, q] - D[i, p]`` is fixed
+for the whole sweep and is computed once per sweep for every instance.
+The bias part depends on the running counts only through one (8, k)
+table indexed by the instance's kind: rows 0-3 hold the reward lost by
+leaving a cluster and rows 4-7 the reward gained by joining it, both
+built from the kind counts with the same scalar arithmetic as the loop.
+A delta adds its leave entry and then its join entry to its distance
+part, the loop's order.  A move changes only the two table columns of
+the clusters it touches.  So every row of a block before its first mover
+sees exactly the state the loop would, ``argmin`` with the stay column
+set to 0.0 applies the loop's lowest-index tie-break, and after a move
+the sweep refreshes two columns and resumes right after the mover.
+Deltas must be finite, because ``argmin`` picks a NaN where the loop's
+``<`` never does; squared distances that overflow are rejected before
+the sweep.
 
 Two pieces of lambda > 0 work are skipped without changing a bit.  The fit
 keeps its (n, k) distance matrix from the nearest-seed assignment on, with
@@ -133,6 +133,12 @@ def _kinds(dataset: Dataset) -> np.ndarray:
     return 2 * dataset.group_codes.astype(np.intp) + dataset.correct_flags
 
 
+def _kind_counts(assign: np.ndarray, kinds: np.ndarray, k: int) -> list[list[int]]:
+    """Each of the k clusters' counts of members by kind, as a list of four
+    ints per cluster."""
+    return np.bincount(4 * assign + kinds, minlength=4 * k).reshape(k, 4).tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class FitLog:
     """The states a fit passed through, logged cheaply enough to keep every
@@ -166,7 +172,7 @@ class FitLog:
             if t:
                 rows, to = self.moves[t - 1]
                 assign[rows] = to
-            counts = np.bincount(4 * assign + kinds, minlength=4 * k).reshape(k, 4).tolist()
+            counts = _kind_counts(assign, kinds, k)
             l_c = inertia(X, centroids, assign)
             l_b = -float(sum(map(_gap_term, counts)))
             trace.append((l_c, l_b, l_c + self.lam * l_b))
@@ -417,35 +423,31 @@ def _sweep_blocked(
     sums: np.ndarray,
     kinds: np.ndarray,
     lam: float,
-    order: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One greedy assignment sweep with centroids fixed, visiting the
-    instances in ``order``, a permutation; returns the moved instances and
-    their new clusters, in move order, and updates ``assign``, ``counts``
-    and ``sums`` in place.
+    instances in ascending order; returns the moved instances and their
+    new clusters, in move order, and updates ``assign``, ``counts`` and
+    ``sums`` in place.
     ``kinds`` holds each instance's kind.
 
     ``dist`` holds the (n, k) squared distances and is only read.  The
-    distance part of every visit's delta is computed once, up front, into
-    a new (n, k) array.  Visits are then evaluated in blocks: every row of
-    a block before its first mover stays put, the mover is applied, and the
-    next block starts right after it.  The block length doubles while no
-    move is found and restarts at twice the distance to the last move, or
-    ``_MIN_BLOCK`` if that is longer.  A move updates ``assign`` and
-    ``counts`` at once; ``sums`` gets every move's update at the end, in
-    move order (see the module docstring)."""
+    distance part of every instance's delta is computed once, up front,
+    into a new (n, k) array.  Instances are then evaluated in blocks: every
+    row of a block before its first mover stays put, the mover is applied,
+    and the next block starts right after it.  The block length doubles
+    while no move is found and restarts at twice the distance to the last
+    move, or ``_MIN_BLOCK`` if that is longer.  A move updates ``assign``
+    and ``counts`` at once; ``sums`` gets every move's update at the end,
+    in move order (see the module docstring)."""
     _check_finite(dist)
-    n_visits = len(order)
-    k = dist.shape[1]
-    visits = np.arange(n_visits)
-    own = assign[order]
-    kinds = kinds[order]  # per visit
-    part = dist.take(order, axis=0)
-    np.subtract(part, part[visits, own][:, None], out=part)
-    # flat indices of each visit's leave entry in the table and of its
+    n, k = dist.shape
+    rows = np.arange(n)
+    own = assign.copy()  # each instance's cluster before the sweep
+    part = dist - dist[rows, own][:, None]
+    # flat indices of each instance's leave entry in the table and of its
     # stay column in ``delta``, and its row of join entries
     leave_at = kinds * k + own
-    stay_at = visits * k + own
+    stay_at = rows * k + own
     join_at = kinds + 4
     table = np.empty((8, k), dtype=np.float64)
     for j in range(k):
@@ -454,8 +456,8 @@ def _sweep_blocked(
     movers: list[tuple[int, int, int]] = []  # (instance, old, new cluster)
     start = 0
     length = _FIRST_BLOCK
-    while start < n_visits:
-        end = min(start + length, n_visits)
+    while start < n:
+        end = min(start + length, n)
         block = delta[start:end]
         np.add(part[start:end], table.take(leave_at[start:end])[:, None], out=block)
         block += table.take(join_at[start:end], axis=0)
@@ -467,15 +469,14 @@ def _sweep_blocked(
             start = end
             length *= 2
             continue
-        v = start + r
-        i = int(order[v])
-        p = int(own[v])
+        i = start + r
+        p = int(own[i])
         q = int(best[r])
-        _apply_move(i, p, q, int(kinds[v]), assign, counts)
+        _apply_move(i, p, q, int(kinds[i]), assign, counts)
         _set_bias_column(table, p, counts[p], lam)
         _set_bias_column(table, q, counts[q], lam)
         movers.append((i, p, q))
-        start = v + 1
+        start = i + 1
         length = max(2 * (r + 1), _MIN_BLOCK)
     applied = np.array(movers, dtype=np.intp).reshape(-1, 3)
     if movers:
@@ -485,38 +486,59 @@ def _sweep_blocked(
     return applied[:, 0], applied[:, 2]
 
 
-def _fit_core(
+def check_lam(lam: float) -> None:
+    """Raise ``ValidationError`` unless the bias weight is finite and >= 0."""
+    if not math.isfinite(lam) or lam < 0:
+        raise ValidationError(f"lam must be finite and >= 0, got {lam}")
+
+
+def logan_fit(
     dataset: Dataset,
-    centroids: np.ndarray,
     cfg: LoganConfig,
     lam: float,
-    sweep_order: Sequence[int] | None = None,
+    initial_centroids: np.ndarray | None = None,
 ) -> ClusterModel:
-    """Alternate assignment sweeps and centroid updates from a given seed
-    state.  ``sweep_order``, a permutation of the instances, overrides the
-    ascending visit order (used by permutation-equivariance tests).
+    """Fit the joint clustering / bias objective at bias weight ``lam``,
+    alternating assignment sweeps and centroid updates; at ``lam == 0``
+    this is plain k-means.
+
+    Initialization is k-means++ from ``cfg.seed`` unless explicit
+    ``initial_centroids`` are given, a finite array of shape
+    ``(cfg.k, dataset.dim)``.  The run is fully deterministic for a given
+    (dataset, config, lam, init).  ``lam`` must pass ``check_lam``.
 
     At lambda > 0 the distances to the seeds are kept, and before each
     sweep only the columns of the centroids that changed since their last
     computation are recomputed (see the module docstring).  The states are
-    logged in a ``FitLog``; no objective is computed here."""
+    logged in a ``FitLog``; no objective is computed here.
+    """
+    check_lam(lam)
+    k = cfg.k
+    if initial_centroids is None:
+        centroids = kmeanspp_init(dataset, k, cfg.seed)
+    else:
+        centroids = np.array(initial_centroids, dtype=np.float64)
+        if centroids.shape != (k, dataset.dim):
+            raise ValueError(
+                f"initial centroids must have shape (k, d) = ({k}, {dataset.dim}), "
+                f"got {centroids.shape}"
+            )
+        if not np.isfinite(centroids).all():
+            raise ValueError("initial centroids must be finite")
+        if k > dataset.n:
+            raise ValueError(f"k={k} exceeds the number of instances ({dataset.n})")
     X = dataset.feature_matrix
     cols = np.ascontiguousarray(X.T)
-    n = len(X)
-    k = len(centroids)
     kinds = _kinds(dataset)
-    order = np.arange(n) if sweep_order is None else np.asarray(sweep_order, np.intp)
 
     def tallies(assign: np.ndarray):
         """Per-cluster kind counts (as lists) and feature sums, recounted in
         full."""
-        counts = np.bincount(4 * assign + kinds, minlength=4 * k).reshape(k, 4).tolist()
         sums = np.empty((k, len(cols)), dtype=np.float64)
         for j, col in enumerate(cols):
             sums[:, j] = np.bincount(assign, weights=col, minlength=k)
-        return counts, sums
+        return _kind_counts(assign, kinds, k), sums
 
-    centroids = np.array(centroids, dtype=np.float64)
     dist = _sq_dists(cols, centroids)
     assign = dist.argmin(axis=1)
     counts, sums = tallies(assign)
@@ -573,7 +595,7 @@ def _fit_core(
             if len(stale):
                 dist[:, stale] = _sq_dists(cols, centroids[stale])
                 seen[stale] = centroids[stale]
-            rows, to = _sweep_blocked(X, dist, assign, counts, sums, kinds, lam, order)
+            rows, to = _sweep_blocked(X, dist, assign, counts, sums, kinds, lam)
             update_centroids()
         snapshots.append(centroids.copy())
         donors, emptied = np.array(reseeds, dtype=np.intp).reshape(-1, 2).T
@@ -593,49 +615,3 @@ def _fit_core(
         iterations_run=iterations,
         log=FitLog(lam, start, tuple(snapshots), tuple(moves)),
     )
-
-
-def check_lam(lam: float) -> None:
-    """Raise ``ValidationError`` unless the bias weight is finite and >= 0."""
-    if not math.isfinite(lam) or lam < 0:
-        raise ValidationError(f"lam must be finite and >= 0, got {lam}")
-
-
-def logan_fit(
-    dataset: Dataset,
-    cfg: LoganConfig,
-    lam: float,
-    initial_centroids: np.ndarray | None = None,
-) -> ClusterModel:
-    """Fit the joint clustering / bias objective at bias weight ``lam``.
-
-    Initialization is k-means++ from ``cfg.seed`` unless explicit
-    ``initial_centroids`` are given.  The run is fully deterministic for a
-    given (dataset, config, lam, init).  ``lam`` must pass ``check_lam``.
-    """
-    check_lam(lam)
-    if initial_centroids is None:
-        centroids = kmeanspp_init(dataset, cfg.k, cfg.seed)
-    else:
-        centroids = np.array(initial_centroids, dtype=np.float64)
-        if centroids.ndim != 2 or centroids.shape[1] != dataset.dim:
-            raise ValueError(
-                f"initial centroids must have shape (k, {dataset.dim})"
-            )
-        if not np.isfinite(centroids).all():
-            raise ValueError("initial centroids must be finite")
-        if len(centroids) > dataset.n:
-            raise ValueError(
-                f"k={len(centroids)} exceeds the number of instances ({dataset.n})"
-            )
-    return _fit_core(dataset, centroids, cfg, lam)
-
-
-def kmeans_fit(
-    dataset: Dataset,
-    cfg: LoganConfig,
-    initial_centroids: np.ndarray | None = None,
-) -> ClusterModel:
-    """Plain k-means baseline: the same solver with the bias weight off."""
-    return logan_fit(dataset, cfg, 0.0, initial_centroids)
-

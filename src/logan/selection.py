@@ -1,16 +1,15 @@
 """Grid search over the bias-loss weight, with the k-means baseline.
 
 The k-means baseline every cell is compared against is the pipeline at
-weight 0 (``kmeans_fit`` is ``logan_fit`` with the weight off).  It is
-fitted first, in the caller, from ``initial_centroids`` or the k-means++
-seeds of ``cfg.seed``, drawn once; a failing baseline is raised before any
-other cell starts.  Every weight above 0 then runs the fit -> merge ->
-count pipeline from that fit's final centroids, before merging, with the
-same config; the weight is an argument of the fit and the only varying
-factor.  A warm start makes a cell's work the moves that its weight buys
-over k-means: a weight that buys none converges in one sweep on the
-k-means fit itself.  Regularization paths warm-start each penalty the same
-way (Friedman, Hastie & Tibshirani, J. Stat. Softw. 2010).
+weight 0.  It is fitted first, in the caller, from the k-means++ seeds of
+``cfg.seed``, drawn once; a failing baseline is raised before any other
+cell starts.  Every weight above 0 then runs the fit -> merge -> count
+pipeline from that fit's final centroids, before merging, with the same
+config; the weight is an argument of the fit and the only varying factor.
+A warm start makes a cell's work the moves that its weight buys over
+k-means: a weight that buys none converges in one sweep on the k-means
+fit itself.  Regularization paths warm-start each penalty the same way
+(Friedman, Hastie & Tibshirani, J. Stat. Softw. 2010).
 
 A cell keeps its merged model and its ``cluster_table``, the count of rows
 that the choice, the biased flags and ``cluster_reports`` all read.  The
@@ -42,7 +41,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import clustering
 from .clustering import ClusterModel, check_lam, logan_fit
 from .data import Dataset, LoganConfig
 from .metrics import MetricKind, table_gaps
@@ -78,13 +76,11 @@ def grid_search(
     dataset: Dataset,
     cfg: LoganConfig,
     lambdas: Sequence[float],
-    initial_centroids: np.ndarray | None = None,
 ) -> GridResult:
     """Fit, merge and count once per candidate weight; pick the best.
 
-    The k-means fit, the weight-0 cell, starts from ``initial_centroids``,
-    or, when they are not given, from the k-means++ seeds of ``cfg.seed``,
-    drawn once here; every other weight starts from that fit's final
+    The k-means fit, the weight-0 cell, starts from the k-means++ seeds of
+    ``cfg.seed``; every other weight starts from that fit's final
     centroids, before merging.  ``max_gap`` per cell is the largest
     accuracy gap over detectable clusters (0 when none is detectable).
     The baseline is fitted in the caller, and each distinct weight only
@@ -95,9 +91,7 @@ def grid_search(
     The grid passes ``check_grid`` before any fit.
     """
     grid = check_grid(lambdas)
-    if initial_centroids is None:
-        initial_centroids = clustering.kmeanspp_init(dataset, cfg.k, cfg.seed)
-    kmeans = logan_fit(dataset, cfg, 0.0, initial_centroids)
+    kmeans = logan_fit(dataset, cfg, 0.0)
     baseline = _cell(dataset, cfg, 0.0, kmeans)
     # -0.0 == 0.0, so both reuse the baseline cell
     weights = list(dict.fromkeys(lam for lam in grid if lam != 0.0))
@@ -126,7 +120,7 @@ def check_grid(lambdas: Sequence[float]) -> list[float]:
 def _fit_cell(
     dataset: Dataset,
     cfg: LoganConfig,
-    initial_centroids: np.ndarray | None,
+    initial_centroids: np.ndarray,
     lam: float,
 ) -> GridCell:
     return _cell(dataset, cfg, lam, logan_fit(dataset, cfg, lam, initial_centroids))

@@ -385,14 +385,14 @@ def _sweep_sequential(
     g: Sequence[int],
     w: Sequence[int],
     lam: float,
-    order: Sequence[int],
 ) -> int:
     """One greedy assignment sweep with centroids fixed, one instance at a
-    time (the reference for ``clustering._sweep_blocked``); returns the
-    number of moves applied.  Mutates assign/counts/term/sums in place."""
+    time in ascending order (the reference for ``clustering._sweep_blocked``);
+    returns the number of moves applied.  Mutates assign/counts/term/sums in
+    place."""
     k = len(n1)
     moves = 0
-    for i in order:
+    for i in range(len(assign)):
         p = assign[i]
         row = dist_rows[i]
         dp = row[p]
@@ -503,8 +503,9 @@ def reference_best_single_move_delta(dataset: Dataset, model, lam: float) -> flo
 
 
 def reference_lloyd(dataset: Dataset, seeds: np.ndarray, cfg):
-    """Lloyd k-means as ``kmeans_fit`` defines it, taking the argmin of the
-    full ``_sq_dists`` matrix (lowest index on ties) in every iteration.
+    """Lloyd k-means as ``logan_fit`` defines it at lambda 0, taking the
+    argmin of the full ``_sq_dists`` matrix (lowest index on ties) in every
+    iteration.
 
     Nearest-seed assignment and a centroid update come first, then
     assignment and update until nothing moves or ``cfg.max_iter`` is hit.
@@ -573,11 +574,10 @@ def reference_logan_fit(
     seeds: np.ndarray,
     cfg: LoganConfig,
     lam: float,
-    order: Sequence[int] | None = None,
 ):
     """``logan_fit`` for lam > 0 as the one-instance-at-a-time loop: every
-    iteration computes the distances afresh and runs ``_sweep_sequential``
-    over ``order`` (ascending by default), then the centroid update.
+    iteration computes the distances afresh and runs ``_sweep_sequential``,
+    then the centroid update.
 
     Nearest-seed assignment and a centroid update come first.  Tallies are
     counted once and then kept up to date move by move, as the fit keeps
@@ -588,10 +588,8 @@ def reference_logan_fit(
     """
     X = dataset.feature_matrix
     cols = np.ascontiguousarray(X.T)
-    n = len(X)
     g = dataset.group_codes.tolist()
     w = dataset.correct_flags.tolist()
-    order = range(n) if order is None else [int(i) for i in order]
     centroids = np.array(seeds, dtype=np.float64)
     assign = _sq_dists(cols, centroids).argmin(axis=1).tolist()
     stats = ClusterStats.from_assignment(dataset, assign, centroids)
@@ -633,7 +631,7 @@ def reference_logan_fit(
         if not np.isfinite(dist).all():
             raise ValueError("squared distances overflow")
         moves = _sweep_sequential(
-            X, dist.tolist(), assign, n1, n2, c1, c2, term, sums, g, w, lam, order
+            X, dist.tolist(), assign, n1, n2, c1, c2, term, sums, g, w, lam
         )
         update()
         trace.append(record())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from logan.cli import main
-from logan.clustering import ClusterModel, kmeans_fit, logan_fit
+from logan.clustering import ClusterModel, kmeanspp_init, logan_fit
 from logan.data import LoganConfig
 from logan.io import AuditReport, LoadError, load_jsonl, write_jsonl
 from logan.metrics import MetricKind, global_bias, performance, random_split_baseline
@@ -21,7 +21,7 @@ from logan.synthetic import (
     generate,
 )
 
-from helpers import best_single_move_delta, make_dataset, random_dataset
+from helpers import best_single_move_delta, make_dataset, random_dataset, reference_lloyd
 
 
 def _pass(num: int, message: str) -> None:
@@ -35,11 +35,12 @@ def test_criterion_1_lambda_zero_reduction():
     for seed in range(20):
         cfg = LoganConfig(k=10, seed=seed)
         a = logan_fit(dataset, cfg, 0.0)
-        b = kmeans_fit(dataset, cfg)
-        assert np.array_equal(a.assignment, b.assignment)
+        assign, centroids, _, _, _ = reference_lloyd(dataset, kmeanspp_init(dataset, 10, seed), cfg)
+        assert np.array_equal(a.assignment, assign)
+        assert a.centroids.tobytes() == centroids.tobytes()
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
-    _pass(1, f"lam=0 identical to k-means for 20 seeds in {elapsed:.2f}s")
+    _pass(1, f"lam=0 identical to full-argmin Lloyd k-means for 20 seeds in {elapsed:.2f}s")
 
 
 def _random_run_grid(n_runs: int):
@@ -146,7 +147,7 @@ def test_criterion_6_hidden_bias_discovery():
         dataset = generate(PlantedBiasSpec(seed=seed))
         assert global_bias(dataset, MetricKind.ACCURACY).gap < 0.02
         cfg = LoganConfig(seed=seed)
-        baseline = merge_small_clusters(kmeans_fit(dataset, cfg), dataset, cfg)
+        baseline = merge_small_clusters(logan_fit(dataset, cfg, 0.0), dataset, cfg)
         chosen = grid_search(dataset, cfg, grid).chosen
         if chosen.max_gap >= 0.25:
             hits += 1

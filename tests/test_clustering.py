@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -11,16 +12,14 @@ from logan.clustering import (
     ClusterModel,
     _LloydBounds,
     _SQ_DISTS_ROWS,
-    _fit_core,
     _gap_term,
     _sq_dists,
     _sweep_blocked,
     _term,
-    kmeans_fit,
     kmeanspp_init,
     logan_fit,
 )
-from logan.data import LoganConfig, ValidationError, build_dataset
+from logan.data import LoganConfig, ValidationError
 from logan.postprocess import merge_small_clusters
 from logan.synthetic import PlantedBiasSpec, brute_force_objective, generate
 
@@ -35,7 +34,6 @@ from helpers import (
     reference_lloyd,
     reference_logan_fit,
     reference_merge_small_clusters,
-    rows_from_arrays,
 )
 
 
@@ -103,7 +101,7 @@ def test_objective_single_cluster_hand_values():
 def test_objective_lambda_zero_equals_clustering_loss():
     rng = np.random.default_rng(4)
     d = random_dataset(rng, 40)
-    model = kmeans_fit(d, cfg_for(4, seed=1))
+    model = logan_fit(d, cfg_for(4, seed=1), 0.0)
     stats = ClusterStats.from_assignment(d, model.assignment, model.centroids)
     l_c, _, total = objective(d, stats, model.assignment, lam=0.0)
     assert total == l_c
@@ -122,21 +120,24 @@ def test_objective_single_group_clusters_contribute_zero():
 # ------------------------------------------------------------------ fitting
 
 def test_lambda_zero_matches_kmeans_exactly():
+    """Seeded from ``cfg.seed``, the lambda 0 fit is Lloyd k-means from the
+    k-means++ seeds of that seed."""
     rng = np.random.default_rng(8)
     d = random_dataset(rng, 200, dim=3, n_blobs=4)
     cfg = cfg_for(5, seed=17)
     a = logan_fit(d, cfg, 0.0)
-    b = kmeans_fit(d, LoganConfig(k=5, seed=17, min_clusters=5))
-    assert np.array_equal(a.assignment, b.assignment)
-    assert a.centroids.tobytes() == b.centroids.tobytes()
+    assign, centroids, _, _, _ = reference_lloyd(d, kmeanspp_init(d, 5, 17), cfg)
+    assert np.array_equal(a.assignment, assign)
+    assert a.centroids.tobytes() == centroids.tobytes()
 
 
 def test_kmeans_two_pairs_centroids_at_midpoints():
     feats = [[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]]
     d = make_dataset(feats, ["a", "b", "a", "b"], [0] * 4, [0] * 4)
-    model = kmeans_fit(
+    model = logan_fit(
         d,
         cfg_for(2, min_clusters=2),
+        0.0,
         initial_centroids=np.array([[0.0, 0.0], [10.0, 0.0]]),
     )
     assert model.converged
@@ -148,7 +149,7 @@ def test_kmeans_inertia_never_increases():
     rng = np.random.default_rng(21)
     for seed in range(5):
         d = random_dataset(rng, 150, dim=2, n_blobs=4)
-        model = kmeans_fit(d, cfg_for(6, seed=seed))
+        model = logan_fit(d, cfg_for(6, seed=seed), 0.0)
         inertias = [step[0] for step in model.objective_trace(d)]
         for earlier, later in zip(inertias, inertias[1:]):
             assert later <= earlier + 1e-9 * abs(earlier)
@@ -416,33 +417,9 @@ def test_sequential_sweep_matches_batch_at_lambda_zero():
         d.group_codes.tolist(),
         d.correct_flags.tolist(),
         0.0,
-        range(d.n),
     )
     assert moves >= 1
     assert assign == dist.argmin(axis=1).tolist()
-
-
-def test_permutation_equivariance_with_fixed_init():
-    rng = np.random.default_rng(55)
-    feats = rng.normal(size=(30, 2))
-    groups = (["a", "b"] * 15)
-    labels = rng.integers(0, 2, 30).tolist()
-    preds = rng.integers(0, 2, 30).tolist()
-    rows = rows_from_arrays(feats, groups, labels, preds)
-    d = build_dataset(rows)
-    cents = kmeanspp_init(d, 3, seed=1)
-    cfg = cfg_for(3, min_clusters=3)
-    base = _fit_core(d, cents, cfg, 20.0)
-
-    perm = rng.permutation(30)
-    d_perm = build_dataset([rows[i] for i in perm])
-    # visit original instances in their original order
-    position = np.empty(30, dtype=int)
-    for new_idx, old_idx in enumerate(perm):
-        position[old_idx] = new_idx
-    permuted = _fit_core(d_perm, cents, cfg, 20.0, sweep_order=position.tolist())
-    for old_idx in range(30):
-        assert permuted.assignment[position[old_idx]] == base.assignment[old_idx]
 
 
 def test_k_larger_than_n_rejected():
@@ -452,9 +429,15 @@ def test_k_larger_than_n_rejected():
 
 
 def test_bad_initial_centroid_shape_rejected():
+    """Initial centroids must hold one row of d coordinates per cluster of
+    ``cfg.k``: a wrong width, an empty array, or fewer rows than k (which
+    would fit fewer clusters than ``min_clusters``) are refused."""
     d = make_dataset([[0.0, 1.0], [1.0, 2.0]], ["a", "b"], [0, 0], [0, 0])
-    with pytest.raises(ValueError, match="shape"):
-        logan_fit(d, cfg_for(2, min_clusters=2), 0.0, initial_centroids=np.zeros((2, 3)))
+    for shape in [(2, 3), (0, 2), (1, 2)]:
+        wanted = re.escape(f"initial centroids must have shape (k, d) = (2, 2), got {shape}")
+        for lam in (0.0, 5.0):
+            with pytest.raises(ValueError, match=f"^{wanted}$"):
+                logan_fit(d, cfg_for(2, min_clusters=2), lam, initial_centroids=np.zeros(shape))
 
 
 @pytest.mark.parametrize("lam", [0.0, 5.0])
@@ -507,8 +490,7 @@ LAMBDAS = (1e-9, 1.0, 1e4)
 @st.composite
 def sweep_states(draw):
     """A random mid-fit state on an integer grid, so exact distance ties
-    occur; some clusters hold a single group, and the instances are visited
-    in ascending or permuted order."""
+    occur; some clusters hold a single group."""
     n = draw(st.integers(1, 300))
     k = draw(st.integers(1, 6))
     dim = draw(st.integers(1, 3))
@@ -524,9 +506,8 @@ def sweep_states(draw):
     one_group = rng.random(k) < draw(st.sampled_from([0.0, 0.5]))
     g[one_group[assign]] = rng.integers(0, 2, size=k)[assign][one_group[assign]]
     w = rng.integers(0, 2, size=n)
-    order = rng.permutation(n) if draw(st.booleans()) else np.arange(n)
     lam = draw(st.sampled_from(LAMBDAS))
-    return X, dist, assign, g.astype(np.int8), w.astype(np.int8), order, lam
+    return X, dist, assign, g.astype(np.int8), w.astype(np.int8), lam
 
 
 def _sweep_args(X, dist, assign, g, w):
@@ -555,12 +536,10 @@ def _kind_counts(n1, n2, c1, c2):
 @settings(max_examples=300, deadline=None)
 @given(sweep_states())
 def test_blocked_sweep_matches_sequential_loop_exactly(state):
-    X, dist, assign, g, w, order, lam = state
+    X, dist, assign, g, w, lam = state
     ref, got, kinds = _sweep_args(X, dist, assign, g, w)
-    ref_moves = _sweep_sequential(
-        X, dist.tolist(), *ref, g.tolist(), w.tolist(), lam, order.tolist()
-    )
-    rows, to = _sweep_blocked(X, dist, *got, kinds, lam, order)
+    ref_moves = _sweep_sequential(X, dist.tolist(), *ref, g.tolist(), w.tolist(), lam)
+    rows, to = _sweep_blocked(X, dist, *got, kinds, lam)
     assert len(rows) == len(to) == ref_moves
     assert got[0][rows].tolist() == to.tolist()
     assert got[0].tolist() == ref[0]
@@ -580,11 +559,8 @@ def test_blocked_sweep_sums_each_delta_in_the_loops_order():
     g = np.array([0, 1, 0, 0, 0, 1], dtype=np.int8)
     w = np.array([1, 0, 1, 0, 0, 0], dtype=np.int8)
     ref, got, kinds = _sweep_args(X, dist, assign, g, w)
-    order = np.arange(6)
-    assert _sweep_sequential(
-        X, dist.tolist(), *ref, g.tolist(), w.tolist(), 1.0, order.tolist()
-    ) == 1
-    rows, to = _sweep_blocked(X, dist, *got, kinds, 1.0, order)
+    assert _sweep_sequential(X, dist.tolist(), *ref, g.tolist(), w.tolist(), 1.0) == 1
+    rows, to = _sweep_blocked(X, dist, *got, kinds, 1.0)
     assert (rows.tolist(), to.tolist()) == ([0], [1])
     assert got[0].tolist() == ref[0] == [1, 0, 1, 1, 1, 1]
 
@@ -600,11 +576,8 @@ def test_blocked_sweep_updates_sums_in_move_order():
     g = np.array([0, 1, 0, 1], dtype=np.int8)
     w = np.array([1, 1, 0, 1], dtype=np.int8)
     ref, got, kinds = _sweep_args(X, dist, assign, g, w)
-    order = np.arange(4)
-    assert _sweep_sequential(
-        X, dist.tolist(), *ref, g.tolist(), w.tolist(), 1.0, order.tolist()
-    ) == 2
-    rows, to = _sweep_blocked(X, dist, *got, kinds, 1.0, order)
+    assert _sweep_sequential(X, dist.tolist(), *ref, g.tolist(), w.tolist(), 1.0) == 2
+    rows, to = _sweep_blocked(X, dist, *got, kinds, 1.0)
     assert (rows.tolist(), to.tolist()) == ([0, 1], [0, 1])
     assert got[0].tolist() == ref[0] == [0, 1, 0, 1]
     assert got[2].tobytes() == ref[6].tobytes()
@@ -614,7 +587,7 @@ def test_blocked_sweep_updates_sums_in_move_order():
 @settings(max_examples=100, deadline=None)
 @given(sweep_states(), st.sampled_from((0.0, *LAMBDAS)))
 def test_best_single_move_delta_matches_loop_exactly(state, lam):
-    X, _, assign, g, w, _, _ = state
+    X, _, assign, g, w, _ = state
     assume(len(g) >= 2)
     g[-1] = 1 - g[0]  # build_dataset needs both groups
     k = int(assign.max()) + 1
@@ -677,7 +650,7 @@ def lloyd_states(draw):
 @given(lloyd_states())
 def test_kmeans_fit_matches_full_argmin_lloyd_exactly(state):
     d, seeds, cfg = state
-    model = kmeans_fit(d, cfg, initial_centroids=seeds)
+    model = logan_fit(d, cfg, 0.0, initial_centroids=seeds)
     assign, centroids, trace, iterations, converged = reference_lloyd(d, seeds, cfg)
     assert model.assignment.tolist() == assign.tolist()
     assert model.centroids.tobytes() == centroids.tobytes()
@@ -689,20 +662,13 @@ def test_kmeans_fit_matches_full_argmin_lloyd_exactly(state):
 # ------------------------------------ lambda > 0 fit vs the one-instance loop
 
 @settings(max_examples=150, deadline=None)
-@given(lloyd_states(), st.sampled_from(LAMBDAS), st.booleans(), st.integers(0, 2**32 - 1))
-def test_logan_fit_matches_sequential_reference_exactly(state, lam, permuted, seed):
+@given(lloyd_states(), st.sampled_from(LAMBDAS))
+def test_logan_fit_matches_sequential_reference_exactly(state, lam):
     """The whole fit, so a distance buffer that one sweep leaves stale for
-    the next would show; a permuted visit order goes through ``_fit_core``."""
+    the next would show."""
     d, seeds, cfg = state
-    if permuted:
-        order = np.random.default_rng(seed).permutation(d.n)
-        model = _fit_core(d, seeds, cfg, lam, sweep_order=order)
-    else:
-        order = None
-        model = logan_fit(d, cfg, lam, initial_centroids=seeds)
-    assign, centroids, trace, iterations, converged = reference_logan_fit(
-        d, seeds, cfg, lam, order
-    )
+    model = logan_fit(d, cfg, lam, initial_centroids=seeds)
+    assign, centroids, trace, iterations, converged = reference_logan_fit(d, seeds, cfg, lam)
     assert model.assignment.tolist() == assign.tolist()
     assert model.centroids.tobytes() == centroids.tobytes()
     assert np.array(model.objective_trace(d)).tobytes() == np.array(trace).tobytes()
@@ -730,7 +696,7 @@ def test_warm_start_that_buys_nothing_reuses_every_distance_column(monkeypatch):
     that sweep reuses all k columns of the nearest-seed distances."""
     d = generate(PlantedBiasSpec(planted_gap=0.0, background_acc=1.0, seed=0))
     cfg = LoganConfig()
-    kmeans = kmeans_fit(d, cfg)
+    kmeans = logan_fit(d, cfg, 0.0)
     assert kmeans.converged
     columns = _count_distance_columns(monkeypatch)
     model = logan_fit(d, cfg, 5.0, initial_centroids=kmeans.centroids)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logan.clustering import ClusterModel, inertia, kmeans_fit
+from logan.clustering import ClusterModel, inertia, logan_fit
 from logan.data import LoganConfig
 from logan.metrics import MetricKind
 from logan.postprocess import (
@@ -47,7 +47,7 @@ def test_merge_noop_when_all_clusters_large():
     rng = np.random.default_rng(1)
     d = random_dataset(rng, 200, n_blobs=2)
     cfg = LoganConfig(k=2, min_clusters=2, min_cluster_total=20)
-    model = kmeans_fit(d, cfg)
+    model = logan_fit(d, cfg, 0.0)
     assert model.cluster_sizes().min() >= 20
     merged = merge_small_clusters(model, d, cfg)
     assert merged is model
@@ -221,7 +221,7 @@ def test_compare_model_with_itself():
     rng = np.random.default_rng(3)
     d = random_dataset(rng, 150, n_blobs=3)
     cfg = LoganConfig(k=3, min_clusters=3)
-    model = kmeans_fit(d, cfg)
+    model = logan_fit(d, cfg, 0.0)
     report = compare(model, model, d, cluster_reports(model, d, cfg))
     assert report.inertia_ratio == 1.0
     assert 0.0 <= report.bcr <= 1.0
@@ -232,7 +232,7 @@ def test_compare_all_correct_predictor():
     feats = [[float(i % 7), 0.0] for i in range(100)]
     d = make_dataset(feats, ["a", "b"] * 50, [1, 0] * 50, [1, 0] * 50)
     cfg = LoganConfig(k=2, min_clusters=2)
-    model = kmeans_fit(d, cfg)
+    model = logan_fit(d, cfg, 0.0)
     report = compare(model, model, d, cluster_reports(model, d, cfg))
     assert report.bcr == 0.0
     assert report.bir == 0.0
@@ -251,7 +251,7 @@ def test_compare_zero_baseline_inertia_undefined():
 def test_inertia_matches_trace():
     rng = np.random.default_rng(9)
     d = random_dataset(rng, 80)
-    model = kmeans_fit(d, LoganConfig(k=4, min_clusters=4))
+    model = logan_fit(d, LoganConfig(k=4, min_clusters=4), 0.0)
     assert inertia(d.feature_matrix, model.centroids, model.assignment) == pytest.approx(
         model.objective_trace(d)[-1][0]
     )

@@ -11,7 +11,7 @@ import numpy as np
 import logan
 from logan import cli, clustering, metrics, postprocess, selection, workers
 from logan.cli import main, run_detect
-from logan.clustering import kmeans_fit, kmeanspp_init, logan_fit
+from logan.clustering import logan_fit
 from logan.data import LoganConfig, ValidationError
 from logan.io import write_jsonl
 from logan.metrics import MetricKind
@@ -99,17 +99,6 @@ def test_bad_weight_is_rejected_before_any_fit(monkeypatch, bad, shown):
     assert calls == []
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_non_finite_seeds_are_rejected(monkeypatch, workers):
-    d = generate(PlantedBiasSpec(n_per_component=50, seed=0))
-    cfg = LoganConfig(k=6, seed=0)
-    seeds = kmeanspp_init(d, 6, 0)
-    seeds[0, 0] = float("nan")
-    force_workers(monkeypatch, workers)
-    with pytest.raises(ValueError, match="initial centroids must be finite"):
-        grid_search(d, cfg, [1.0, 5.0], initial_centroids=seeds)
-
-
 # ------------------------------------------- cells in forked worker processes
 
 def force_workers(monkeypatch, n):
@@ -195,11 +184,10 @@ def test_pool_gives_the_in_process_result(monkeypatch):
 def test_baseline_cell_is_the_merged_kmeans_fit(monkeypatch, workers):
     d = generate(PlantedBiasSpec(n_per_component=80, seed=3))
     cfg = LoganConfig(k=8, min_clusters=5, seed=11)
-    seeds = kmeanspp_init(d, cfg.k, cfg.seed)
     grid = [1.0, 5.0, 100.0]
     force_workers(monkeypatch, workers)
-    result = grid_search(d, cfg, grid, initial_centroids=seeds)
-    kmeans = kmeans_fit(d, cfg, seeds)
+    result = grid_search(d, cfg, grid)
+    kmeans = logan_fit(d, cfg, 0.0)
     assert_same_model(result.baseline.model, merge_small_clusters(kmeans, d, cfg), d)
     assert result.baseline.lam == 0.0
     assert [c.lam for c in result.cells] == grid
@@ -211,18 +199,22 @@ def test_baseline_cell_is_the_merged_kmeans_fit(monkeypatch, workers):
 def test_each_distinct_weight_is_fitted_once(monkeypatch):
     """A grid holding 0, -0 and a repeated weight: both zeros reuse the
     baseline cell, -0 keeps its sign, and the cells and choice are those of
-    fitting every entry, the zeros from the k-means++ seeds and the others
-    from the k-means fit."""
+    fitting every entry, the zeros from the k-means++ seeds of ``cfg.seed``
+    and the others from the k-means fit."""
     d = generate(PlantedBiasSpec(n_per_component=80, seed=3))
     cfg = LoganConfig(k=8, min_clusters=5, seed=11)
     grid = [5.0, 0.0, 100.0, 5.0, -0.0, 1.0]
-    warm = kmeans_fit(d, cfg).centroids
-    every_entry = [selection._fit_cell(d, cfg, warm if lam else None, lam) for lam in grid]
+    kmeans = logan_fit(d, cfg, 0.0)
+    warm = kmeans.centroids
+    every_entry = [
+        selection._fit_cell(d, cfg, warm, lam) if lam else selection._cell(d, cfg, lam, kmeans)
+        for lam in grid
+    ]
     fitted = []
     starts = []
 
     def counting(fit):
-        def wrapped(dataset, cfg, lam, initial_centroids):
+        def wrapped(dataset, cfg, lam, initial_centroids=None):
             fitted.append(lam)
             starts.append(initial_centroids)
             return fit(dataset, cfg, lam, initial_centroids)
@@ -233,7 +225,7 @@ def test_each_distinct_weight_is_fitted_once(monkeypatch):
     patch_fit(monkeypatch, counting)
     result = grid_search(d, cfg, grid)
     assert fitted == [0.0, 5.0, 100.0, 1.0]
-    assert starts[0].tobytes() == kmeanspp_init(d, cfg.k, cfg.seed).tobytes()
+    assert starts[0] is None
     assert all(start.tobytes() == warm.tobytes() for start in starts[1:])
     assert result.cells[1].model is result.cells[4].model is result.baseline.model
     for a, b in zip(every_entry, result.cells):
@@ -263,9 +255,8 @@ def test_detect_fits_only_kmeans_in_the_calling_process(monkeypatch, planted_fil
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_seeds_are_drawn_once(monkeypatch, workers):
-    """Without initial centroids, the caller draws the k-means++ seeds once
-    and the k-means fit, from which every other cell starts, fits from
-    them."""
+    """The caller draws the k-means++ seeds once, and the k-means fit, from
+    which every other cell starts, fits from them."""
     d = generate(PlantedBiasSpec(n_per_component=80, seed=3))
     cfg = LoganConfig(k=8, min_clusters=5, seed=11)
     grid = [1.0, 5.0, 100.0]
@@ -276,16 +267,19 @@ def test_seeds_are_drawn_once(monkeypatch, workers):
     def drawing(*args):
         if os.getpid() != caller:
             raise AssertionError("a worker drew seeds")
-        drawn.append(draw(*args))
-        return drawn[-1]
+        seeds = draw(*args)
+        drawn.append(seeds.copy())  # the fit updates this array in place
+        return seeds
 
     force_workers(monkeypatch, workers)
     monkeypatch.setattr(clustering, "kmeanspp_init", drawing)
     result = grid_search(d, cfg, grid)
     assert len(drawn) == 1
-    given = grid_search(d, cfg, grid, initial_centroids=drawn[0])
+    kmeans = logan_fit(d, cfg, 0.0, drawn[0])
     assert len(drawn) == 1
-    for a, b in zip((result.baseline, *result.cells), (given.baseline, *given.cells)):
+    given = [selection._cell(d, cfg, 0.0, kmeans)]
+    given += [selection._fit_cell(d, cfg, kmeans.centroids, lam) for lam in grid]
+    for a, b in zip((result.baseline, *result.cells), given):
         assert_same_cell(a, b, d, cfg)
 
 
@@ -298,7 +292,7 @@ def test_weight_that_buys_nothing_costs_one_sweep(monkeypatch, workers):
     d = generate(PlantedBiasSpec(n_per_component=80, planted_gap=0.0, background_acc=1.0, seed=3))
     assert d.correct_flags.all()
     cfg = LoganConfig(k=8, min_clusters=5, min_cluster_total=0, seed=11)
-    kmeans = kmeans_fit(d, cfg)
+    kmeans = logan_fit(d, cfg, 0.0)
     assert kmeans.converged and kmeans.iterations_run > 1
     force_workers(monkeypatch, workers)
     result = grid_search(d, cfg, [1.0, 5.0, 10.0, 100.0])
@@ -321,7 +315,7 @@ def test_warm_start_ends_no_higher_in_fewer_iterations():
         for seed in range(10):
             d = generate(PlantedBiasSpec(planted_gap=gap, seed=seed))
             cfg = LoganConfig(seed=seed)
-            warm_start = kmeans_fit(d, cfg).centroids
+            warm_start = logan_fit(d, cfg, 0.0).centroids
             for lam in (1.0, 5.0, 10.0, 100.0):
                 cold = logan_fit(d, cfg, lam)
                 warm = logan_fit(d, cfg, lam, warm_start)
@@ -458,8 +452,8 @@ def test_reports_reject_a_table_of_another_shape():
     model with fewer clusters, or a flat one, is refused."""
     d = generate(PlantedBiasSpec(n_per_component=60, seed=11))
     cfg = LoganConfig(k=6, min_clusters=1, seed=11)
-    model = kmeans_fit(d, cfg)
-    other = kmeans_fit(d, LoganConfig(k=5, min_clusters=1, seed=11))
+    model = logan_fit(d, cfg, 0.0)
+    other = logan_fit(d, LoganConfig(k=5, min_clusters=1, seed=11), 0.0)
     table = cluster_table(model, d)
     for wrong in (cluster_table(other, d), table.reshape(-1, 4)):
         with pytest.raises(ValueError, match=r"^table must have shape \(6, 2, 2, 2\), got"):
@@ -473,7 +467,7 @@ def test_run_detect_rejects_an_empty_grid(planted_file):
 
 def failing_at(*lams):
     def wrap(fit):
-        def wrapped(dataset, cfg, lam, initial_centroids):
+        def wrapped(dataset, cfg, lam, initial_centroids=None):
             if lam in lams:
                 raise ValueError(f"cell lam={lam} failed")
             return fit(dataset, cfg, lam, initial_centroids)
@@ -523,7 +517,7 @@ import os, sys, time
 from logan import cli, selection, workers
 fit = selection.logan_fit
 tokenize = cli.tokenize
-def dying_fit(dataset, cfg, lam, initial_centroids):
+def dying_fit(dataset, cfg, lam, initial_centroids=None):
     if lam == 5.0:
         os._exit(7)
     return fit(dataset, cfg, lam, initial_centroids)
