@@ -241,7 +241,8 @@ def kmeanspp_init(dataset: Dataset, k: int, seed: int) -> np.ndarray:
 def _term(n1: int, n2: int, c1: int, c2: int) -> float:
     if n1 == 0 or n2 == 0:
         return 0.0
-    return (c1 / n1 - c2 / n2) ** 2
+    d = c1 / n1 - c2 / n2
+    return d * d  # as numpy squares; a scalar ** 2 calls libm pow
 
 
 def _gap_term(c: Sequence[int]) -> float:

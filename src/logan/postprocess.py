@@ -18,7 +18,7 @@ import numpy as np
 
 from .clustering import ClusterModel, inertia
 from .data import Dataset, LoganConfig
-from .metrics import GapResult, MetricKind, counts, group_gaps, table_gaps
+from .metrics import MetricKind, counts, group_gaps, table_gaps
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,13 @@ def cluster_table(model: ClusterModel, dataset: Dataset) -> np.ndarray:
     return counts(dataset, 2 * model.assignment + dataset.group_codes, 2 * k).reshape(k, 2, 2, 2)
 
 
-def bias_flags(r: GapResult, cfg: LoganConfig) -> tuple[bool, bool]:
-    """(detectable, biased) of a cluster from its accuracy result ``r``;
-    the one place the rule lives."""
-    detectable = r.n_group1 >= cfg.min_per_group and r.n_group2 >= cfg.min_per_group
-    return detectable, detectable and r.gap is not None and r.gap >= cfg.bias_threshold
+def bias_flags(table: np.ndarray, cfg: LoganConfig) -> tuple[list[bool], list[bool]]:
+    """Every cluster's detectable and biased flags, read off the accuracy
+    gaps of its ``cluster_table``; the one place the rule lives."""
+    accuracy = table_gaps(table, MetricKind.ACCURACY)
+    detectable = [min(r.n_group1, r.n_group2) >= cfg.min_per_group for r in accuracy]
+    gaps = [r.gap if d else None for r, d in zip(accuracy, detectable)]
+    return detectable, [gap is not None and gap >= cfg.bias_threshold for gap in gaps]
 
 
 def cluster_reports(
@@ -192,6 +194,7 @@ def cluster_reports(
         table = cluster_table(model, dataset)
     elif np.shape(table) != (k, 2, 2, 2):
         raise ValueError(f"table must have shape ({k}, 2, 2, 2), got {np.shape(table)}")
+    detectable, biased = bias_flags(table, cfg)
     results = {
         kind: group_gaps(dataset, model.assignment, k, kind)
         if kind is MetricKind.SUBGROUP_AUC
@@ -226,7 +229,6 @@ def cluster_reports(
             top_tokens[j] = tuple(vocabulary[t] for t, _ in ranked[:_TOKENS_PER_CLUSTER])
     reports = []
     for j, accuracy in enumerate(results[MetricKind.ACCURACY]):
-        detectable, biased = bias_flags(accuracy, cfg)
         reports.append(
             ClusterReport(
                 cluster_id=j,
@@ -235,8 +237,8 @@ def cluster_reports(
                 perf_group1={kind: res[j].perf_group1 for kind, res in results.items()},
                 perf_group2={kind: res[j].perf_group2 for kind, res in results.items()},
                 gap={kind: res[j].gap for kind, res in results.items()},
-                detectable=detectable,
-                biased=biased,
+                detectable=detectable[j],
+                biased=biased[j],
                 top_tokens=top_tokens[j],
             )
         )
@@ -264,7 +266,7 @@ def compare(
     biased = [r for r in detectable if r.biased]
     n_inst_detectable = sum(r.size for r in detectable)
     n_inst_biased = sum(r.size for r in biased)
-    # bias_flags gives every biased cluster an accuracy gap
+    # bias_flags flags a cluster biased only when its accuracy gap is defined
     gaps = [r.gap[MetricKind.ACCURACY] for r in biased]
     return ComparisonReport(
         inertia_ratio=ratio,

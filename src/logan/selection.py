@@ -130,6 +130,7 @@ def _cell(dataset: Dataset, cfg: LoganConfig, lam: float, fit: ClusterModel) -> 
     """The grid cell of ``fit``: its merged model, count and bias summary."""
     model = merge_small_clusters(fit, dataset, cfg)
     table = cluster_table(model, dataset)
-    flagged = [(r.gap, *bias_flags(r, cfg)) for r in table_gaps(table, MetricKind.ACCURACY)]
-    gaps = [gap for gap, detectable, _ in flagged if detectable and gap is not None]
-    return GridCell(lam, model, table, sum(b for _, _, b in flagged), max(gaps, default=0.0))
+    detectable, biased = bias_flags(table, cfg)
+    accuracy = table_gaps(table, MetricKind.ACCURACY)
+    gaps = [r.gap for r, d in zip(accuracy, detectable) if d and r.gap is not None]
+    return GridCell(lam, model, table, sum(biased), max(gaps, default=0.0))

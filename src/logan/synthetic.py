@@ -163,11 +163,6 @@ def generate(spec: PlantedBiasSpec) -> Dataset:
     return build_dataset(rows)
 
 
-def component_of(row_id: str) -> int:
-    """Recover the mixture component index encoded in a generated id."""
-    return int(row_id.split("-")[0][1:])
-
-
 _BRUTE_FORCE_CAP = 2_000_000
 
 
@@ -203,7 +198,8 @@ def brute_force_objective(
             if n1 > 0 and n2 > 0:
                 c1 = int(np.sum(members & (g == 0) & (w == 1)))
                 c2 = int(np.sum(members & (g == 1) & (w == 1)))
-                l_b -= (c1 / n1 - c2 / n2) ** 2
+                d = c1 / n1 - c2 / n2
+                l_b -= d * d
         total = l_c + lam * l_b
         if total < best_total:
             best_total = total

@@ -103,6 +103,12 @@ def random_dataset(
     return make_dataset(features, groups.tolist(), labels, preds, scores)
 
 
+def component_of(row_id: str) -> int:
+    """The mixture component index that ``logan.synthetic.generate``
+    encodes in a row id (``c<component>-<row>``)."""
+    return int(row_id.split("-")[0][1:])
+
+
 def reference_performance(dataset: Dataset, rows, kind: MetricKind) -> float | None:
     """``performance`` of one subset of rows (indices or a mask), computed
     on that subset alone, rows in the order given; None on an empty
@@ -417,7 +423,8 @@ def _sweep_sequential(
                 if qn1 == 0 or qn2 == 0:
                     term_q_after = 0.0
                 else:
-                    term_q_after = (qc1 / qn1 - qc2 / qn2) ** 2
+                    d = qc1 / qn1 - qc2 / qn2
+                    term_q_after = d * d
                 delta = row[q] - dp + base + lam * (term[q] - term_q_after)
             if delta < best_delta:
                 best_delta = delta

@@ -13,6 +13,7 @@ from logan.clustering import (
     _LloydBounds,
     _SQ_DISTS_ROWS,
     _gap_term,
+    _set_bias_column,
     _sq_dists,
     _sweep_blocked,
     _term,
@@ -480,6 +481,42 @@ def test_brute_force_lambda_zero_equals_pure_kmeans_enumeration():
 def test_term_helper():
     assert _term(0, 5, 0, 3) == 0.0
     assert _term(4, 2, 3, 1) == pytest.approx(0.0625)
+
+
+def _np_term(n1, n2, c1, c2):
+    """``_term`` of every cluster at once, squared with numpy's ``** 2``."""
+    ok = (n1 != 0) & (n2 != 0)
+    p1 = np.divide(c1, n1, out=np.zeros(n1.shape), where=ok)
+    p2 = np.divide(c2, n2, out=np.zeros(n1.shape), where=ok)
+    return np.where(ok, (p1 - p2) ** 2, 0.0)
+
+
+def test_numpy_bias_table_matches_set_bias_column_bit_for_bit():
+    # numpy squares as x * x, so _term must too for a vectorized table to agree
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        k = int(rng.integers(1, 12))
+        c = rng.integers(0, rng.choice([3, 30, 300, 3000]), size=(k, 4))
+        c[rng.random(k) < 0.2, :2] = 0  # clusters without a group-1 member
+        c[rng.random(k) < 0.2, 2:] = 0  # and without a group-2 member
+        a1, a2, b1, b2 = c[:, 0] + c[:, 1], c[:, 2] + c[:, 3], c[:, 1], c[:, 3]
+        t = _np_term(a1, a2, b1, b2)
+        after = [
+            _np_term(a1 - 1, a2, b1, b2),
+            _np_term(a1 - 1, a2, b1 - 1, b2),
+            _np_term(a1, a2 - 1, b1, b2),
+            _np_term(a1, a2 - 1, b1, b2 - 1),
+            _np_term(a1 + 1, a2, b1, b2),
+            _np_term(a1 + 1, a2, b1 + 1, b2),
+            _np_term(a1, a2 + 1, b1, b2),
+            _np_term(a1, a2 + 1, b1, b2 + 1),
+        ]
+        for lam in (0.37, 1.0, 5.0, 100.0):
+            want = np.empty((8, k))
+            for j in range(k):
+                _set_bias_column(want, j, c[j].tolist(), lam)
+            got = np.stack([lam * (t - term) for term in after])
+            assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------- blocked sweep vs the sequential loop

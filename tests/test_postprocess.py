@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from logan.clustering import ClusterModel, inertia, logan_fit
 from logan.data import LoganConfig
-from logan.metrics import MetricKind
+from logan.metrics import MetricKind, table_gaps
 from logan.postprocess import (
+    bias_flags,
     cluster_reports,
     compare,
     merge_small_clusters,
@@ -213,6 +216,83 @@ def test_cluster_reports_extra_metric_kinds():
     # all labels are 1: FPR undefined, accuracy still present for the flag
     assert reports[0].gap[MetricKind.FPR] is None
     assert reports[0].gap[MetricKind.ACCURACY] == pytest.approx(0.4)
+
+
+# ------------------------------------------------------------ the flag rule
+
+def hand_table(*clusters):
+    """A ``cluster_table`` from each cluster's (correct, wrong) row count
+    per group; every row has label 1, so its correct rows predict 1."""
+    table = np.zeros((len(clusters), 2, 2, 2), dtype=np.int64)
+    for j, groups in enumerate(clusters):
+        for g, (right, wrong) in enumerate(groups):
+            table[j, g, 1] = wrong, right
+    return table
+
+
+def checked_flags(table, cfg):
+    """``bias_flags`` of ``table``, each flag a Python bool, as JSON needs."""
+    detectable, biased = bias_flags(table, cfg)
+    assert all(type(flag) is bool for flag in detectable + biased)
+    return detectable, biased
+
+
+def test_bias_flags_gap_at_the_threshold_is_biased():
+    # accuracies 3/4 and 1/4 lie exactly 0.5 apart
+    table = hand_table(((3, 1), (1, 3)), ((2, 2), (2, 2)))
+    cfg = LoganConfig(k=2, min_clusters=1, min_per_group=4, bias_threshold=0.5)
+    assert checked_flags(table, cfg) == ([True, True], [True, False])
+    above = replace(cfg, bias_threshold=math.nextafter(0.5, 1.0))
+    assert checked_flags(table, above) == ([True, True], [False, False])
+
+
+def test_bias_flags_group_at_min_per_group_is_detectable():
+    table = hand_table(((4, 0), (0, 4)), ((3, 0), (0, 4)), ((4, 0), (0, 3)))
+    cfg = LoganConfig(k=3, min_clusters=1, min_per_group=4)
+    assert checked_flags(table, cfg) == ([True, False, False], [True, False, False])
+
+
+def test_bias_flags_empty_group_without_a_floor_is_detectable_not_biased():
+    table = hand_table(((2, 1), (0, 0)))
+    assert table_gaps(table, MetricKind.ACCURACY)[0].gap is None
+    cfg = LoganConfig(k=1, min_clusters=1, min_per_group=0, bias_threshold=0.0)
+    assert checked_flags(table, cfg) == ([True], [False])
+
+
+def test_bias_flags_one_cluster_and_an_all_zero_cluster():
+    cfg = LoganConfig(k=1, min_clusters=1, min_per_group=1)
+    assert checked_flags(hand_table(((5, 0), (0, 5))), cfg) == ([True], [True])
+    table = hand_table(((0, 0), (0, 0)), ((5, 0), (0, 5)))
+    assert checked_flags(table, cfg) == ([False, True], [False, True])
+    no_floor = replace(cfg, min_per_group=0)
+    assert checked_flags(table, no_floor) == ([True, True], [False, True])
+
+
+@st.composite
+def flag_cases(draw):
+    """A random ``cluster_table`` and a config whose threshold is often one
+    of the table's own gaps."""
+    k = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(0, 12), min_size=8 * k, max_size=8 * k))
+    table = np.array(cells, dtype=np.int64).reshape(k, 2, 2, 2)
+    gaps = [r.gap for r in table_gaps(table, MetricKind.ACCURACY) if r.gap is not None]
+    if gaps and draw(st.booleans()):
+        threshold = draw(st.sampled_from(gaps))
+    else:
+        threshold = draw(st.floats(0.0, 1.0))
+    floor = draw(st.integers(0, 30))
+    return table, LoganConfig(k=k, min_clusters=1, min_per_group=floor, bias_threshold=threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag_cases())
+def test_bias_flags_match_the_per_cluster_rule(case):
+    table, cfg = case
+    expected = []
+    for r in table_gaps(table, MetricKind.ACCURACY):
+        detectable = r.n_group1 >= cfg.min_per_group and r.n_group2 >= cfg.min_per_group
+        expected.append((detectable, detectable and r.gap is not None and r.gap >= cfg.bias_threshold))
+    assert list(zip(*checked_flags(table, cfg))) == expected
 
 
 # ---------------------------------------------------------------- comparison

@@ -6,11 +6,10 @@ from logan.metrics import MetricKind, global_bias, group_gaps
 from logan.synthetic import (
     PlantedBiasSpec,
     brute_force_auc,
-    component_of,
     generate,
 )
 
-from helpers import assert_same_dataset
+from helpers import assert_same_dataset, component_of
 
 
 def component_gap(dataset, comp):
