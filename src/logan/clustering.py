@@ -90,12 +90,14 @@ diagonal comes near overflow, so overflow is reported exactly when the
 full matrix would show it.  Assignments, centroids and traces are those of
 a full argmin in every iteration, bit for bit.
 
-Every squared distance of a fit, in its sweeps and its re-seeds, comes
-from ``_sq_dists``, in numpy alone: it adds the squared coordinate
-differences from the first coordinate to the last, starting at 0, as a
-plain per-pair loop does.  Summing in any other order
-(``np.sum``, ``einsum``, the ``|x|^2 - 2 x.c + |c|^2`` expansion) changes
-low bits of the distances, and through ties and the sweep, the fits.
+Every squared distance of a fit, in its k-means++ seeding, its sweeps and
+its re-seeds, and every one that ``postprocess.merge_small_clusters`` ranks
+merge partners by, comes from ``_sq_dists``, in one numpy pass over all
+rows: it adds the squared coordinate differences from the first coordinate
+to the last, starting at 0, as a plain per-pair loop does.  Summing in any
+other order (``np.sum``, ``einsum``, the ``|x|^2 - 2 x.c + |c|^2``
+expansion) changes low bits of the distances, and through ties and the
+sweep, the seeds, the fits and the merges.
 
 A fit computes no objective while it runs.  It logs each state (the
 state after initialization, then the state after each iteration) as a copy
@@ -219,22 +221,23 @@ def kmeanspp_init(dataset: Dataset, k: int, seed: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     X = dataset.feature_matrix
+    cols = np.ascontiguousarray(X.T)
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, dataset.dim), dtype=np.float64)
     idx = int(rng.integers(n))
     centroids[0] = X[idx]
-    with np.errstate(over="ignore"):  # inf, rejected before sampling
-        closest = np.sum((X - centroids[0]) ** 2, axis=1)
-        for j in range(1, k):
+    closest = _sq_dists(cols, centroids[:1])[:, 0]
+    for j in range(1, k):
+        with np.errstate(over="ignore"):  # finite weights may sum to inf
             total = closest.sum()
-            _check_finite(total)
-            if total > 0.0:
-                idx = int(rng.choice(n, p=closest / float(total)))
-            else:
-                # fewer distinct positions than k: fall back to uniform
-                idx = int(rng.integers(n))
-            centroids[j] = X[idx]
-            np.minimum(closest, np.sum((X - centroids[j]) ** 2, axis=1), out=closest)
+        _check_finite(total)
+        if total > 0.0:
+            idx = int(rng.choice(n, p=closest / float(total)))
+        else:
+            # fewer distinct positions than k: fall back to uniform
+            idx = int(rng.integers(n))
+        centroids[j] = X[idx]
+        np.minimum(closest, _sq_dists(cols, centroids[j : j + 1])[:, 0], out=closest)
     return centroids
 
 
@@ -261,38 +264,35 @@ def _apply_move(
     assign[i] = q
 
 
-# Rows per block of _sq_dists: its two (k, rows) buffers then stay in a
-# 2 MB L2 cache for k up to about 16.
-_SQ_DISTS_ROWS = 8192
-
-
-def _sq_dists(
-    cols: np.ndarray, centroids: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(n, k) squared Euclidean distances from each instance to each
-    centroid; ``cols`` is the (dim, n) transpose of the feature matrix.
-    Each distance sums its squared coordinate differences from the first
-    coordinate to the last, starting at 0 (see the module docstring).
-    Written into ``out`` when it is given."""
-    n = cols.shape[1]
-    if out is None:
-        out = np.empty((n, len(centroids)), dtype=np.float64)
-    # (k, rows) buffers: each coordinate costs three ufunc calls for all
+def _sq_dists(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """New C-contiguous (n, k) squared Euclidean distances from each
+    instance to each centroid; ``cols`` is the (dim, n) transpose of the
+    feature matrix.  Each distance sums its squared coordinate differences
+    from the first coordinate to the last, starting at 0 (see the module
+    docstring)."""
+    # (k, n) buffers: each coordinate costs three ufunc calls for all
     # centroids at once, instead of three per centroid
-    acc_buf = np.empty((len(centroids), min(n, _SQ_DISTS_ROWS)), dtype=np.float64)
-    diff_buf = np.empty_like(acc_buf)
-    with np.errstate(over="ignore"):  # inf, as in a loop; sweeps reject it
-        for start in range(0, n, _SQ_DISTS_ROWS):
-            stop = min(start + _SQ_DISTS_ROWS, n)
-            acc = acc_buf[:, : stop - start]
-            diff = diff_buf[:, : stop - start]
-            acc.fill(0.0)
-            for col, c in zip(cols[:, start:stop], centroids.T):
-                np.subtract(col, c[:, None], out=diff)
-                diff *= diff
-                acc += diff
-            out[start:stop] = acc.T
+    k, n = len(centroids), cols.shape[1]
+    acc = np.zeros((k, n), dtype=np.float64)
+    diff = np.empty_like(acc)
+    with np.errstate(over="ignore"):  # inf, as in a loop; fits reject it
+        for col, c in zip(cols, centroids.T):
+            np.subtract(col, c[:, None], out=diff)
+            diff *= diff
+            acc += diff
+    out = diff.reshape(n, k)  # the result reuses diff's memory: no third buffer
+    out[...] = acc.T
     return out
+
+
+def _feature_sums(cols: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """(k, dim) per-cluster feature sums of the instances assigned by
+    ``assign``; ``cols`` is the (dim, n) transpose of the feature matrix.
+    Each sum adds its cluster's rows in row order, starting at 0."""
+    sums = np.empty((k, len(cols)), dtype=np.float64)
+    for j, col in enumerate(cols):
+        sums[:, j] = np.bincount(assign, weights=col, minlength=k)
+    return sums
 
 
 def _check_finite(dist: np.ndarray) -> None:
@@ -315,16 +315,14 @@ class _LloydBounds:
     ``upper[i]`` bounds the true distance from instance i to its own
     centroid from above and ``lower[i]`` its distance to every other
     centroid from below; inf in ``upper`` marks a row with no bounds.
-    The evaluated rows' distances are written into the (n, k) ``dist``.
     """
 
-    def __init__(self, cols: np.ndarray, dist: np.ndarray) -> None:
+    def __init__(self, cols: np.ndarray) -> None:
         dim, n = cols.shape
         self.cols = cols
         self.box = (cols.min(axis=1), cols.max(axis=1))
         self.upper = np.full(n, np.inf)
         self.lower = np.zeros(n)
-        self.dist = dist
         rho = (dim + 2) * 2.0**-52
         self.err = dim * 2.0**-1074  # absolute error of underflowing squares
         self.slack = math.sqrt(8.0 * self.err)
@@ -358,7 +356,7 @@ class _LloydBounds:
         # np.take gathers a C-contiguous copy, which _sq_dists reads faster
         # than the strided one of self.cols[:, rows]
         cols = self.cols if len(rows) == len(assign) else np.take(self.cols, rows, axis=1)
-        dist = _sq_dists(cols, centroids, out=self.dist[: len(rows)])
+        dist = _sq_dists(cols, centroids)
         _check_finite(dist)
         best = dist.argmin(axis=1)
         changed = best != assign[rows]
@@ -531,20 +529,12 @@ def logan_fit(
     X = dataset.feature_matrix
     cols = np.ascontiguousarray(X.T)
     kinds = _kinds(dataset)
-
-    def tallies(assign: np.ndarray):
-        """Per-cluster kind counts (as lists) and feature sums, recounted in
-        full."""
-        sums = np.empty((k, len(cols)), dtype=np.float64)
-        for j, col in enumerate(cols):
-            sums[:, j] = np.bincount(assign, weights=col, minlength=k)
-        return _kind_counts(assign, kinds, k), sums
-
     dist = _sq_dists(cols, centroids)
     assign = dist.argmin(axis=1)
-    counts, sums = tallies(assign)
+    counts, sums = _kind_counts(assign, kinds, k), _feature_sums(cols, assign, k)
     if lam == 0.0:
-        bounds = _LloydBounds(cols, dist)  # from here on ``dist`` is its scratch
+        bounds = _LloydBounds(cols)
+        del dist  # each evaluation makes its own
     else:
         seen = centroids.copy()  # the centroids of the columns of ``dist``
     reseeds: list[tuple[int, int]] = []  # (donor, emptied cluster) since the last state
@@ -588,7 +578,7 @@ def logan_fit(
             # nearest-centroid assignment (ties toward the lowest index).
             rows, to = bounds.nearest(centroids, assign)
             if len(rows):
-                counts, sums = tallies(assign)
+                counts, sums = _kind_counts(assign, kinds, k), _feature_sums(cols, assign, k)
             update_centroids()
             bounds.shift(snapshots[-1], centroids, assign)
         else:

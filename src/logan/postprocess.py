@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import ClusterModel, inertia
+from .clustering import ClusterModel, _feature_sums, _sq_dists, inertia
 from .data import Dataset, LoganConfig
 from .metrics import MetricKind, counts, group_gaps, table_gaps
 
@@ -78,16 +78,16 @@ def merge_small_clusters(
     While some cluster holds fewer than ``cfg.min_cluster_total`` instances
     and more than ``cfg.min_clusters`` clusters remain, the smallest
     cluster (ties toward the lowest id) is absorbed by the live cluster
-    whose centroid is nearest to its own (ties likewise), and the merged
-    centroid is recomputed as the member mean.  Cluster ids are compacted
-    afterwards.  Returns the input model unchanged when nothing merges.
+    whose centroid is nearest to its own by the fit's squared distance,
+    ``clustering._sq_dists`` (ties likewise), and the merged centroid is
+    recomputed as the member mean.  Cluster ids are compacted afterwards.
+    Returns the input model unchanged when nothing merges.
     """
     k = model.n_clusters
     sizes = model.cluster_sizes()
     if k <= cfg.min_clusters or sizes.min() >= cfg.min_cluster_total:
         return model
-    sums = np.zeros((k, dataset.dim), dtype=np.float64)
-    np.add.at(sums, model.assignment, dataset.feature_matrix)
+    sums = _feature_sums(dataset.feature_matrix.T, model.assignment, k)
     centroids = np.array(model.centroids, dtype=np.float64)
     alive = np.ones(k, dtype=bool)
     owner = np.arange(k)  # the live cluster that holds each original one
@@ -100,7 +100,7 @@ def merge_small_clusters(
             break
         alive[s] = False
         others = np.flatnonzero(alive)
-        t = int(others[np.argmin(np.sum((centroids[others] - centroids[s]) ** 2, axis=1))])
+        t = int(others[_sq_dists(centroids[s][:, None], centroids[others]).argmin()])
         sums[t] += sums[s]
         sizes[t] += sizes[s]
         owner[owner == s] = t

@@ -260,12 +260,21 @@ def reference_top_tokens(
     return tops
 
 
+def _left_to_right_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
+    total = 0.0
+    for x, y in zip(a.tolist(), b.tolist()):
+        diff = x - y
+        total += diff * diff
+    return total
+
+
 def reference_merge_small_clusters(
     model: ClusterModel, dataset: Dataset, cfg: LoganConfig
 ) -> ClusterModel:
     """``merge_small_clusters`` one live cluster at a time: the smallest
     live cluster by ``min`` over (size, id), its nearest live neighbour by
-    ``min`` over (one ``np.sum`` per pair, id)."""
+    ``min`` over (squared distance, id), each distance summed in a Python
+    loop from the first coordinate to the last, starting at 0."""
     k = model.n_clusters
     sizes = model.cluster_sizes().tolist()
     sums = np.zeros((k, dataset.dim), dtype=np.float64)
@@ -280,7 +289,7 @@ def reference_merge_small_clusters(
         s = min(live, key=lambda j: (sizes[j], j))
         t = min(
             (j for j in live if j != s),
-            key=lambda j: (float(np.sum((centroids[s] - centroids[j]) ** 2)), j),
+            key=lambda j: (_left_to_right_sq_dist(centroids[s], centroids[j]), j),
         )
         sums[t] += sums[s]
         sizes[t] += sizes[s]

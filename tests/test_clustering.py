@@ -11,7 +11,6 @@ from logan import clustering
 from logan.clustering import (
     ClusterModel,
     _LloydBounds,
-    _SQ_DISTS_ROWS,
     _gap_term,
     _set_bias_column,
     _sq_dists,
@@ -70,6 +69,30 @@ def test_kmeanspp_deterministic():
     a = kmeanspp_init(d, k=6, seed=123)
     b = kmeanspp_init(d, k=6, seed=123)
     assert np.array_equal(a, b)
+
+
+def test_kmeanspp_weights_come_from_sq_dists(monkeypatch):
+    """One ``_sq_dists`` call per seed, against that seed alone."""
+    d = random_dataset(np.random.default_rng(2), 60, dim=9)
+    real = clustering._sq_dists
+    calls = []
+
+    def spy(cols, centroids):
+        calls.append((cols.shape, centroids.shape))
+        return real(cols, centroids)
+
+    monkeypatch.setattr(clustering, "_sq_dists", spy)
+    kmeanspp_init(d, k=6, seed=4)
+    assert calls == [((9, 60), (1, 9))] * 6
+
+
+def test_kmeanspp_weights_whose_sum_overflows_are_rejected():
+    """Every two rows are 1.62e308 apart squared, which is finite, but the
+    weights of the first seed sum past float64: a ``ValueError``, and no
+    floating-point warning."""
+    d = make_dataset(9e153 * np.eye(5), ["a", "b"] * 2 + ["a"], [0] * 5, [0] * 5)
+    with pytest.raises(ValueError, match="overflow float64"):
+        kmeanspp_init(d, k=2, seed=0)
 
 
 def test_kmeanspp_k_too_large():
@@ -275,14 +298,11 @@ def _repeated_points(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 9, 16, 37, 768])
-@pytest.mark.parametrize("rows", [1, 40, 262144])
-def test_many_reseeds_match_the_reference_loops_exactly(monkeypatch, dim, rows):
+def test_many_reseeds_match_the_reference_loops_exactly(dim):
     """Six distinct points, each repeated: twelve seeds of which only six
     are distinct leave clusters empty, and every one is re-seeded.  The
-    re-seed ranks donors by ``_sq_dists``; blocks of one row take the 18
-    rows one at a time, and blocks of 40 or 262144 rows take them at once."""
+    re-seed ranks donors by ``_sq_dists``."""
     d, seeds = _repeated_points(dim)
-    monkeypatch.setattr(clustering, "_SQ_DISTS_ROWS", rows)
     for lam in (0.0, 5.0):
         assert_matches_the_reference_loops(d, seeds, cfg_for(12, min_clusters=1), lam)
 
@@ -719,9 +739,9 @@ def _count_distance_columns(monkeypatch):
     columns = []
     real = clustering._sq_dists
 
-    def counting(cols, centroids, out=None):
+    def counting(cols, centroids):
         columns.append(len(centroids))
-        return real(cols, centroids, out)
+        return real(cols, centroids)
 
     monkeypatch.setattr(clustering, "_sq_dists", counting)
     return columns
@@ -771,16 +791,16 @@ def test_lambda_fit_recomputes_only_the_columns_of_moved_centroids(monkeypatch):
 @given(
     st.integers(1, 40),
     st.integers(1, 8),
-    st.integers(1, 60) | st.sampled_from([_SQ_DISTS_ROWS + 1, 2 * _SQ_DISTS_ROWS + 37]),
+    st.integers(1, 60) | st.sampled_from([8193, 16421]),
     st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6, 1e155]),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-@example(dim=3, k=4, n=2 * _SQ_DISTS_ROWS + 37, scale=1.0, on_grid=False, seed=1)
+@example(dim=3, k=4, n=16421, scale=1.0, on_grid=False, seed=1)
 def test_sq_dists_matches_cdist_bitwise(dim, k, n, scale, on_grid, seed):
     """Integer-grid inputs give exact ties; at scale 1e155 some squared
-    differences overflow to inf.  Past ``_SQ_DISTS_ROWS`` rows the
-    distances are computed block by block."""
+    differences overflow to inf.  Past 8,192 rows the distances are still
+    computed in one pass."""
     rng = np.random.default_rng(seed)
     if on_grid:
         X = rng.integers(-3, 4, size=(n, dim)) * scale
@@ -791,7 +811,7 @@ def test_sq_dists_matches_cdist_bitwise(dim, k, n, scale, on_grid, seed):
     with np.errstate(over="ignore"):
         expected = cdist(X, centroids, "sqeuclidean")
     got = _sq_dists(np.ascontiguousarray(X.T), centroids)
-    assert got.shape == expected.shape
+    assert got.shape == expected.shape and got.flags.c_contiguous
     assert got.tobytes() == expected.tobytes()
 
 
@@ -805,7 +825,7 @@ def test_sq_dists_single_instance_and_overflow():
 
 def test_lloyd_bounds_evaluate_every_row_when_distances_may_overflow():
     cols = np.array([[0.0, 1.0, 2.0]])
-    bounds = _LloydBounds(cols, np.empty((3, 2)))
+    bounds = _LloydBounds(cols)
     bounds.upper[:] = 0.0
     bounds.lower[:] = 1.0  # certify every row
     assign = np.zeros(3, dtype=np.intp)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logan.clustering import ClusterModel, inertia, logan_fit
+from logan.clustering import ClusterModel, _sq_dists, inertia, logan_fit
 from logan.data import LoganConfig
 from logan.metrics import MetricKind, table_gaps
 from logan.postprocess import (
@@ -87,6 +87,28 @@ def test_merge_smallest_into_nearest():
     big = int(np.argmax(merged.cluster_sizes() == 28))
     expected = (25 * 0.0 + 3 * 1.0) / 28
     assert merged.centroids[big][0] == pytest.approx(expected)
+
+
+def test_merge_ranks_partners_by_sq_dists_at_d16():
+    """Clusters 0 and 1 sit at the same coordinates in two orders, so in
+    exact arithmetic they are equally far from the small cluster 2 at the
+    origin.  Summed left to right, as ``_sq_dists`` sums, cluster 1 is the
+    nearer; numpy's pairwise ``np.sum`` ranks cluster 0 nearer.  The merge
+    folds cluster 2 into cluster 1."""
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(16)
+    centroids = np.stack([4.0 + v, 4.0 + v[rng.permutation(16)], np.zeros(16)])
+    near = _sq_dists(np.zeros((16, 1)), centroids[:2])[0]
+    assert near[1] < near[0]
+    assert np.sum(centroids[0] ** 2) < np.sum(centroids[1] ** 2)
+    assignment = [0] * 25 + [1] * 25 + [2] * 3
+    model = manual_model(centroids, assignment)
+    d = dataset_at_centroids(centroids, assignment)
+    cfg = LoganConfig(k=3, min_clusters=2, min_cluster_total=20)
+    for merge in (merge_small_clusters, reference_merge_small_clusters):
+        merged = merge(model, d, cfg)
+        assert merged.assignment.tolist() == [0] * 25 + [1] * 28
+        assert merged.centroids[0].tobytes() == centroids[0].tobytes()
 
 
 def test_merge_conserves_and_bounds_merge_count():
