@@ -226,8 +226,9 @@ def kmeanspp_init(dataset: Dataset, k: int, seed: int) -> np.ndarray:
     centroids = np.empty((k, dataset.dim), dtype=np.float64)
     idx = int(rng.integers(n))
     centroids[0] = X[idx]
-    closest = _sq_dists(cols, centroids[:1])[:, 0]
+    closest = np.full(n, np.inf)
     for j in range(1, k):
+        np.minimum(closest, _sq_dists(cols, centroids[j - 1 : j])[:, 0], out=closest)
         with np.errstate(over="ignore"):  # finite weights may sum to inf
             total = closest.sum()
         _check_finite(total)
@@ -237,7 +238,6 @@ def kmeanspp_init(dataset: Dataset, k: int, seed: int) -> np.ndarray:
             # fewer distinct positions than k: fall back to uniform
             idx = int(rng.integers(n))
         centroids[j] = X[idx]
-        np.minimum(closest, _sq_dists(cols, centroids[j : j + 1])[:, 0], out=closest)
     return centroids
 
 

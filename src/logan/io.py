@@ -24,9 +24,9 @@ import stat
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import partial
-from io import BufferedReader, RawIOBase, TextIOWrapper
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .data import Dataset, DatasetBuilder, ValidationError
 from .workers import ForkMap
@@ -86,78 +86,45 @@ def _parse_jsonl(lines: Iterable[str]) -> DatasetBuilder:
     return builder
 
 
-class _Head(RawIOBase):
-    """The first ``size`` bytes of a binary file, as a raw stream."""
-
-    def __init__(self, raw: BinaryIO, size: int) -> None:
-        self._raw = raw
-        self._left = size
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer: Any) -> int:
-        n = self._raw.readinto(memoryview(buffer)[: self._left])
-        self._left -= n
-        return n
-
-
 def _parse_part(path: str | Path, start: int, stop: int | None = None) -> DatasetBuilder:
     """``_parse_jsonl`` of the file's bytes ``[start, stop)``.  ``start``
     and ``stop`` must each follow a line feed byte, so the part holds whole
-    lines; a part from 0 is never sought, so a pipe reads too."""
-    with open(path, "rb", buffering=0) as raw:
+    lines; a part from 0 is never sought, so a pipe reads too, and a part
+    with a ``stop`` is read in one read."""
+    with open(path, "rb") as raw:
         if start > 0:
             raw.seek(start)
-        stream = BufferedReader(raw if stop is None else _Head(raw, stop - start))
+        stream = raw if stop is None else BytesIO(raw.read(stop - start))
         with TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape") as text:
             return _parse_jsonl(text)
-
-
-def _split_offset(path: str | Path) -> int | None:
-    """The offset just past the first line feed byte at or after the
-    middle of the file, or None where that is the end of the file or there
-    is no such byte, or the file is not a regular file."""
-    with open(path, "rb") as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            return None
-        size = fh.seek(0, os.SEEK_END)
-        offset = fh.seek(size // 2)
-        while chunk := fh.read(1 << 16):
-            at = chunk.find(b"\n")
-            if at >= 0:
-                split = offset + at + 1
-                return split if split < size else None
-            offset += len(chunk)
-    return None
-
-
-def _load_halves(path: str | Path) -> DatasetBuilder | None:
-    """The file's records, the second half parsed in a forked child while
-    this process parses the first; None where the file does not split or
-    either half fails."""
-    split = _split_offset(path)
-    if split is None:
-        return None
-    with ForkMap(partial(_parse_part, path), [split], parent_works=True) as tail:
-        try:
-            builder = _parse_part(path, 0, split)
-            builder.extend(tail()[0])
-        except Exception:  # the serial pass raises it with its line number
-            return None
-    return builder
 
 
 def load_jsonl(path: str | Path) -> Dataset:
     """Load a dataset from a JSONL file; errors name the offending line.
 
-    The file is split at a line end near its middle, and the halves are
-    parsed at once, the second in a forked child (see ``logan.workers``).
-    When either half fails, or the two disagree on the feature dimension
-    or share an id, the whole file is parsed again in one pass, which
-    raises the error of the first bad line.
+    A regular file is split just past the first line feed byte at or after
+    its middle, unless that is its last byte or there is none.  The halves
+    are parsed at once: a forked child (see ``logan.workers``) streams the
+    second, while this process reads the first whole, in one read, and
+    parses it.  When either half fails, or the two disagree on the feature
+    dimension or share an id, the whole file is parsed again in one pass,
+    which raises the error of the first bad line.
     """
-    builder = _load_halves(path)
+    split = size = 0
+    with open(path, "rb") as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            size = fh.seek(0, os.SEEK_END)
+            fh.seek(size // 2)
+            fh.readline()
+            split = fh.tell()
+    builder = None
+    if split < size:
+        with ForkMap(partial(_parse_part, path), [split], parent_works=True) as tail:
+            try:
+                builder = _parse_part(path, 0, split)
+                builder.extend(tail()[0])
+            except Exception:  # the one pass raises it with its line number
+                builder = None
     if builder is None:
         builder = _parse_part(path, 0)
     return builder.finish()

@@ -71,6 +71,16 @@ def serial_load_jsonl(path) -> Dataset:
         return _parse_jsonl(fh).finish()
 
 
+def split_offset(path) -> int | None:
+    """Where ``load_jsonl`` splits a regular file, from its bytes: just
+    past the first line feed at or after the middle, or None where there
+    is no such line feed or it is the last byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    at = data.find(b"\n", len(data) // 2)
+    return at + 1 if 0 <= at < len(data) - 1 else None
+
+
 def assert_no_child_left() -> None:
     """This process has no child, running or unreaped, of any kind."""
     with pytest.raises(ChildProcessError):

@@ -71,8 +71,8 @@ def test_kmeanspp_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_kmeanspp_weights_come_from_sq_dists(monkeypatch):
-    """One ``_sq_dists`` call per seed, against that seed alone."""
+def _kmeanspp_sq_dists_calls(monkeypatch, k):
+    """The shapes of each ``_sq_dists`` call of a k-means++ seeding."""
     d = random_dataset(np.random.default_rng(2), 60, dim=9)
     real = clustering._sq_dists
     calls = []
@@ -82,8 +82,18 @@ def test_kmeanspp_weights_come_from_sq_dists(monkeypatch):
         return real(cols, centroids)
 
     monkeypatch.setattr(clustering, "_sq_dists", spy)
-    kmeanspp_init(d, k=6, seed=4)
-    assert calls == [((9, 60), (1, 9))] * 6
+    kmeanspp_init(d, k=k, seed=4)
+    return calls
+
+
+def test_kmeanspp_weights_come_from_sq_dists(monkeypatch):
+    """One ``_sq_dists`` call per seed but the last, whose distances no
+    draw reads, against that seed alone."""
+    assert _kmeanspp_sq_dists_calls(monkeypatch, 6) == [((9, 60), (1, 9))] * 5
+
+
+def test_kmeanspp_one_seed_computes_no_distance(monkeypatch):
+    assert _kmeanspp_sq_dists_calls(monkeypatch, 1) == []
 
 
 def test_kmeanspp_weights_whose_sum_overflows_are_rejected():

@@ -39,7 +39,7 @@ from logan.metrics import GapResult, MetricKind, random_split_baseline
 from logan.postprocess import ClusterReport, ComparisonReport
 from logan.synthetic import PlantedBiasSpec, generate
 
-from helpers import assert_no_child_left, assert_same_dataset, serial_load_jsonl
+from helpers import assert_no_child_left, assert_same_dataset, serial_load_jsonl, split_offset
 
 
 def jsonl_line(i, **overrides):
@@ -319,19 +319,29 @@ def jsonl_files(draw):
 @settings(max_examples=150, deadline=None)
 @given(jsonl_files(), st.sampled_from([1, 2]))
 def test_split_load_is_the_serial_load(drawn, cpus):
-    """The two halves of a valid file parse without the one-pass fallback,
-    and the load returns exactly what one pass over the file returns,
-    which holds the rows as written."""
+    """A valid file is cut where ``split_offset`` says, its two halves
+    parse without the one-pass fallback, and the load returns exactly what
+    one pass over the file returns, which holds the rows as written."""
     text, rows = drawn
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(workers, "usable_cpus", lambda: cpus)
         path = Path(tmp) / "data.jsonl"
         path.write_bytes(text.encode("utf-8"))
-        split = logan.io._split_offset(path) is not None
-        event(f"split: {split}")
-        # a valid file loads without the one-pass fallback
-        assert (logan.io._load_halves(path) is not None) == split
+        split = split_offset(path)
+        event(f"split: {split is not None}")
+        parts = []  # the parts this process parses; a child's go unseen
+        real = logan.io._parse_part
+
+        def spy(*args):
+            parts.append(args)
+            return real(*args)
+
+        mp.setattr(logan.io, "_parse_part", spy)
         loaded = assert_same_outcome(path)
+        # the first half stops at the split, and one pass runs only unsplit
+        heads = [args for args in parts if len(args) == 3]
+        assert heads == ([(path, 0, split)] if split else [])
+        assert ((path, 0) in parts) == (split is None)
         if len(rows) > 1:
             assert_same_dataset(loaded, build_dataset(rows))
         assert_no_child_left()
@@ -355,7 +365,7 @@ def test_split_load_errors_are_the_serial_errors(tmp_path, monkeypatch, defect):
     path = tmp_path / "data.jsonl"
     lines = _padded_lines(40)
     write_lines(path, lines)
-    split = logan.io._split_offset(path)
+    split = split_offset(path)
     first = path.read_bytes()[:split].count(b"\n")  # index of the tail's first line
     assert 10 < first < 30
     width = len(lines[0])
@@ -370,7 +380,7 @@ def test_split_load_errors_are_the_serial_errors(tmp_path, monkeypatch, defect):
     lines[index] = line.ljust(width)
     data = ("\n".join(lines) + "\n").encode("utf-8").replace(b"caf\x00", b"caf\xff")
     path.write_bytes(data)
-    assert logan.io._split_offset(path) == split
+    assert split_offset(path) == split
     outcome = assert_same_outcome(path)
     assert outcome[0] is LoadError and outcome[2] == index + 1
     assert_no_child_left()
@@ -385,6 +395,45 @@ def test_head_error_while_the_tail_is_parsed_leaves_no_child(tmp_path, monkeypat
     with pytest.raises(LoadError, match=r"^line 1: invalid JSON"):
         load_jsonl(path)
     assert_no_child_left()
+
+
+def test_only_a_split_regular_file_forks_a_child(tmp_path, monkeypatch):
+    """One child parses the tail of a regular file cut in two.  A pipe, a
+    file whose first line feed past the middle is its last byte, and a
+    load on one usable CPU fork none.  Each load is the one-pass load."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+
+    def forks_to_load(path, cpus, expected_path=None):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        forks.clear()
+        loaded = load_jsonl(path)
+        assert_same_dataset(loaded, serial_load_jsonl(expected_path or path))
+        assert_no_child_left()
+        return len(forks)
+
+    split = tmp_path / "split.jsonl"
+    write_lines(split, [jsonl_line(i) for i in range(6)])
+    assert split_offset(split) is not None
+    assert forks_to_load(split, 2) == 1
+    assert forks_to_load(split, 1) == 0
+    last = tmp_path / "last.jsonl"
+    write_lines(last, [jsonl_line(0), jsonl_line(1, text="x" * 500)])
+    assert split_offset(last) is None
+    assert forks_to_load(last, 2) == 0
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb") as feed:  # well under a pipe's buffer
+        feed.write(split.read_bytes())
+    try:
+        assert forks_to_load(f"/dev/fd/{read_end}", 2, expected_path=split) == 0
+    finally:
+        os.close(read_end)
 
 
 def test_load_csv_score_range(tmp_path):
