@@ -5,7 +5,6 @@ Subcommands:
                 cluster reports, comparison, JSON report
   baseline      k-means-only audit: the grid's weight-0 cell alone
   synth         write a planted-bias synthetic dataset
-  random-split  print the random-split gap baseline for a dataset
 
 Exit codes: 0 = clean run, 2 = at least one biased cluster found (usable
 as a CI gate), 1 = any error.
@@ -27,7 +26,6 @@ from .data import LoganConfig, ValidationError, standardize_features
 from .io import (
     AuditReport,
     LoadError,
-    emit_plot_data,
     file_sha256,
     load_dataset,
     to_plain,
@@ -39,12 +37,8 @@ from .selection import check_grid, grid_search
 from .synthetic import PlantedBiasSpec, generate
 from .workers import ForkMap
 
-# runs and seed of the random-split baseline, owned by its signature
-_SPLIT_DEFAULTS = {
-    name: p.default
-    for name, p in inspect.signature(random_split_baseline).parameters.items()
-    if p.default is not p.empty
-}
+# the runs of the report's random split baseline, owned by its signature
+_SPLIT_RUNS = inspect.signature(random_split_baseline).parameters["runs"].default
 
 
 def _parse_metrics(raw: str) -> list[MetricKind]:
@@ -80,7 +74,6 @@ def run_detect(
     output_path: str | Path | None,
     fmt: str = "jsonl",
     metrics: Sequence[MetricKind] = (MetricKind.ACCURACY,),
-    plot_path: str | Path | None = None,
     standardize: bool = False,
 ) -> AuditReport:
     """Run the audit pipeline on one input file and write the report.
@@ -133,7 +126,7 @@ def run_detect(
         "global_gaps": global_gaps,
         "random_split": {
             "metric": MetricKind.ACCURACY,
-            "runs": _SPLIT_DEFAULTS["runs"],
+            "runs": _SPLIT_RUNS,
             "mean": mean_gap,
             "std": std_gap,
         },
@@ -150,8 +143,6 @@ def run_detect(
     report = AuditReport(**to_plain(sections))
     if output_path is not None:
         report.save(output_path)
-    if plot_path is not None:
-        emit_plot_data(report, plot_path)
     return report
 
 
@@ -198,7 +189,6 @@ def _add_audit_flags(parser: argparse.ArgumentParser, with_lambdas: bool) -> Non
         help="comma-separated metrics to report (accuracy,auc,fpr)",
     )
     parser.add_argument("--output", required=True, help="where to write the JSON report")
-    parser.add_argument("--plot-data", help="optional per-(cluster,group) CSV path")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,17 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--preset", choices=("planted-bias",), required=True)
     _add_field_flags(synth, PlantedBiasSpec)
     synth.add_argument("--output", required=True)
-
-    split = sub.add_parser("random-split", help="random-split gap baseline")
-    split.add_argument("--input", required=True)
-    split.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    split.add_argument(
-        "--metric",
-        default="accuracy",
-        choices=[m.value for m in MetricKind],
-    )
-    for name, default in _SPLIT_DEFAULTS.items():
-        split.add_argument(f"--{name}", type=int, default=default)
     return parser
 
 
@@ -251,7 +230,6 @@ def _cmd_audit(args: argparse.Namespace, with_lambdas: bool) -> int:
         args.output,
         fmt=args.format,
         metrics=metrics,
-        plot_path=args.plot_data,
         standardize=args.standardize,
     )
     n_biased = report.n_biased_clusters()
@@ -269,18 +247,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_random_split(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.input, args.format)
-    mean, std = random_split_baseline(
-        dataset, MetricKind(args.metric), runs=args.runs, seed=args.seed
-    )
-    print(
-        f"random-split gap ({args.metric}, {args.runs} runs): "
-        f"mean={mean:.6f} std={std:.6f}"
-    )
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -291,8 +257,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_audit(args, with_lambdas=False)
         if args.command == "synth":
             return _cmd_synth(args)
-        if args.command == "random-split":
-            return _cmd_random_split(args)
         parser.error(f"unknown command {args.command!r}")
     except (LoadError, ValidationError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -280,7 +280,7 @@ def to_plain(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Full audit output: config echo, global gaps, random-split baseline,
+    """Full audit output: config echo, global gaps, random split baseline,
     per-cluster reports, baseline comparison and provenance.
 
     Each section holds the ``to_plain`` data of its source values: a
@@ -313,42 +313,3 @@ class AuditReport:
     def load(cls, path: str | Path) -> "AuditReport":
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
-
-def _csv_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def emit_plot_data(report: AuditReport, path: str | Path) -> None:
-    """Write per-(cluster, group) accuracy rows as CSV for external plotting.
-
-    Columns: cluster_id, group, n, accuracy, gap, biased — sorted by
-    cluster id then group, numbers at full precision.
-    """
-    if not report.clusters:
-        raise ValueError("report has no clusters to plot")
-    groups = report.config["groups"]
-    rows = []
-    for cluster in sorted(report.clusters, key=lambda c: c["cluster_id"]):
-        for pos, group in enumerate(sorted(groups)):
-            side = "perf_group1" if pos == 0 else "perf_group2"
-            count = cluster["n_group1"] if pos == 0 else cluster["n_group2"]
-            rows.append(
-                [
-                    _csv_cell(cluster["cluster_id"]),
-                    group,
-                    _csv_cell(count),
-                    _csv_cell(cluster[side].get("accuracy")),
-                    _csv_cell(cluster["gap"].get("accuracy")),
-                    _csv_cell(cluster["biased"]),
-                ]
-            )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id", "group", "n", "accuracy", "gap", "biased"])
-        writer.writerows(rows)

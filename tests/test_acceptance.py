@@ -204,7 +204,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
     data_path = tmp_path / "planted.jsonl"
     write_jsonl(generate(PlantedBiasSpec(n_per_component=80, seed=0)), data_path)
 
-    def run(report_path, plot_path):
+    def run(report_path):
         return main(
             [
                 "detect",
@@ -212,15 +212,13 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
                 str(data_path),
                 "--output",
                 str(report_path),
-                "--plot-data",
-                str(plot_path),
                 "--seed",
                 "0",
             ]
         )
 
-    code_a = run(tmp_path / "a.json", tmp_path / "a.csv")
-    code_b = run(tmp_path / "b.json", tmp_path / "b.csv")
+    code_a = run(tmp_path / "a.json")
+    code_b = run(tmp_path / "b.json")
     assert code_a == code_b
 
     def normalized(path):
@@ -229,7 +227,6 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         return json.dumps(data, indent=2)
 
     assert normalized(tmp_path / "a.json") == normalized(tmp_path / "b.json")
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     text = (tmp_path / "a.json").read_text(encoding="utf-8")
     assert AuditReport.from_json(text).to_json() == text

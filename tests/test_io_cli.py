@@ -1,5 +1,4 @@
 import contextlib
-import csv
 import dataclasses
 import enum
 import gc
@@ -28,7 +27,6 @@ from logan.data import LoganConfig, ValidationError, build_dataset
 from logan.io import (
     AuditReport,
     LoadError,
-    emit_plot_data,
     load_csv,
     load_dataset,
     load_jsonl,
@@ -537,8 +535,7 @@ def test_every_config_field_is_a_cli_flag():
     required = ["detect", "--input", "in.csv", "--output", "out.json"]
     flags = (
         "--format csv --k 7 --lambdas 2,3 --seed 3 --bias-threshold 0.1 --min-per-group 5 "
-        "--min-cluster-total 6 --min-clusters 4 --max-iter 9 --standardize --metrics auc "
-        "--plot-data plot.csv"
+        "--min-cluster-total 6 --min-clusters 4 --max-iter 9 --standardize --metrics auc"
     ).split()
     parser = build_parser()
     defaults = vars(parser.parse_args(required))
@@ -599,18 +596,39 @@ def test_invalid_lambda_grid_fails_before_the_input_is_read(tmp_path, capsys, gr
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("command", ["detect", "baseline", "random-split", "synth"])
+@pytest.mark.parametrize("command", ["detect", "baseline", "synth"])
 def test_negative_seed_is_named(planted_file, tmp_path, capsys, command):
     out = tmp_path / "out"
     args = {
         "detect": ["detect", "--input", str(planted_file), "--output", str(out)],
         "baseline": ["baseline", "--input", str(planted_file), "--output", str(out)],
-        "random-split": ["random-split", "--input", str(planted_file)],
         "synth": ["synth", "--preset", "planted-bias", "--output", str(out)],
     }[command]
     assert main([*args, "--seed", "-1"]) == 1
     assert not out.exists()
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--input", "{input}", "--output", "{out}", "--plot-data", "{out}.csv"],
+        ["random-split", "--input", "{input}"],
+    ],
+    ids=["--plot-data", "random-split"],
+)
+def test_removed_outputs_are_usage_errors(planted_file, tmp_path, capsys, argv):
+    """A script that still asks for the CSV copy of the clusters or the
+    random-split subcommand stops with a usage error and exit code 1, not
+    an audit's 0 or 2, and nothing is written."""
+    out = tmp_path / "report.json"
+    args = [a.format(input=planted_file, out=out) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: logan") and "error:" in err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_error_exits_one_and_help_zero(planted_file, tmp_path, capsys):
@@ -710,43 +728,6 @@ def test_auc_without_a_score_fails_before_any_fit(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-# ---------------------------------------------------------------- plot data
-
-def test_emit_plot_data_rows_and_round_trip(planted_file, tmp_path):
-    out = tmp_path / "report.json"
-    plot = tmp_path / "plot.csv"
-    main(detect_args(planted_file, out) + ["--plot-data", str(plot)])
-    report = AuditReport.load(out)
-    with open(plot, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2 * len(report.clusters)
-    ids = [int(r["cluster_id"]) for r in rows]
-    assert ids == sorted(ids)
-    by_cluster = {c["cluster_id"]: c for c in report.clusters}
-    for row in rows:
-        cluster = by_cluster[int(row["cluster_id"])]
-        side = "perf_group1" if row["group"] == report.config["groups"][0] else "perf_group2"
-        expected = cluster[side]["accuracy"]
-        if row["accuracy"] == "":
-            assert expected is None
-        else:
-            assert float(row["accuracy"]) == expected
-        assert row["biased"] == ("true" if cluster["biased"] else "false")
-
-
-def test_emit_plot_data_requires_clusters():
-    report = AuditReport(
-        config={"groups": ["a", "b"]},
-        global_gaps={},
-        random_split={},
-        clusters=[],
-        comparison=None,
-        provenance={},
-    )
-    with pytest.raises(ValueError, match="clusters"):
-        emit_plot_data(report, "/tmp/unused.csv")
-
-
 # -------------------------------------------------------------- subcommands
 
 def test_synth_subcommand_round_trip(tmp_path, capsys):
@@ -782,32 +763,18 @@ def test_synth_non_finite_flag_is_named(tmp_path, capsys, flag, field, value):
     assert len(err) == 1 and err[0].startswith(f"error: {field} must be finite"), err
 
 
-def test_random_split_subcommand(planted_file, capsys):
-    code = main(
-        ["random-split", "--input", str(planted_file), "--runs", "5", "--seed", "3"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "mean=" in out and "std=" in out
-
-
-def test_random_split_defaults_have_one_owner(planted_file, capsys):
-    """``random-split`` without ``--runs`` and ``--seed``, and the report's
-    noise baseline at seed 0, both give what ``random_split_baseline``
+def test_random_split_defaults_have_one_owner(planted_file):
+    """The report's noise baseline at seed 0 is what ``random_split_baseline``
     gives at its own defaults."""
     mean, std = random_split_baseline(load_dataset(planted_file), MetricKind.ACCURACY)
-    assert main(["random-split", "--input", str(planted_file)]) == 0
-    assert capsys.readouterr().out == (
-        f"random-split gap (accuracy, 5 runs): mean={mean:.6f} std={std:.6f}\n"
-    )
     report = run_detect(planted_file, LoganConfig(seed=0), None, None)
     assert report.random_split == {"metric": "accuracy", "runs": 5, "mean": mean, "std": std}
 
 
 def test_random_split_auc_names_the_first_scoreless_row(tmp_path, capsys):
-    """``random-split --metric auc`` names the first row without a score in
-    file order, the row ``baseline --metrics auc`` names, not the first one
-    that a permutation reaches."""
+    """``baseline --metrics auc`` names the first row without a score in
+    file order, the row ``random_split_baseline`` names too (see
+    ``tests/test_metrics.py``)."""
     lines = [
         jsonl_line(i, **({} if i in (3, 90) else {"score": 0.25 + 0.5 * (i % 2)}))
         for i in range(100)
@@ -815,11 +782,6 @@ def test_random_split_auc_names_the_first_scoreless_row(tmp_path, capsys):
     path = tmp_path / "data.jsonl"
     write_lines(path, lines)
     expected = "error: AUC requires a score on every instance; missing for 'x3'\n"
-    for seed in range(3):
-        code = main(["random-split", "--input", str(path), "--metric", "auc",
-                     "--seed", str(seed)])
-        assert code == 1
-        assert capsys.readouterr().err == expected
     out = tmp_path / "report.json"
     assert main(["baseline", "--input", str(path), "--output", str(out), "--metrics", "auc"]) == 1
     assert capsys.readouterr().err == expected

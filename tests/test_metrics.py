@@ -4,6 +4,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from logan.data import build_dataset
 from logan.metrics import (
     GapResult,
     MetricKind,
@@ -230,6 +231,35 @@ def test_random_split_requires_runs():
     d = make_dataset([[0.0], [1.0]], ["a", "b"], [0, 1], [0, 1])
     with pytest.raises(ValueError):
         random_split_baseline(d, MetricKind.ACCURACY, runs=0)
+
+
+def test_random_split_negative_seed_is_named():
+    d = make_dataset([[0.0], [1.0]], ["a", "b"], [0, 1], [0, 1])
+    with pytest.raises(ValueError) as err:
+        random_split_baseline(d, MetricKind.ACCURACY, seed=-1)
+    assert str(err.value) == "seed must be >= 0, got -1"
+
+
+def test_random_split_auc_names_the_first_scoreless_row_in_file_order():
+    """The AUC baseline names x3, the first row without a score in file
+    order and the row an audit names, not the first one that a permutation
+    reaches."""
+    rows = [
+        {
+            "id": f"x{i}",
+            "features": [float(i), 0.5],
+            "group": "ab"[i % 2],
+            "label": i % 2,
+            "pred": i % 2,
+            **({} if i in (3, 90) else {"score": 0.25 + 0.5 * (i % 2)}),
+        }
+        for i in range(100)
+    ]
+    d = build_dataset(rows)
+    for split_seed in range(3):
+        with pytest.raises(ValueError) as err:
+            random_split_baseline(d, MetricKind.SUBGROUP_AUC, seed=split_seed)
+        assert str(err.value) == "AUC requires a score on every instance; missing for 'x3'"
 
 
 def test_metric_bounds_on_random_subsets():
