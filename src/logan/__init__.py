@@ -36,12 +36,7 @@ from .postprocess import (
     merge_small_clusters,
 )
 from .selection import GridCell, GridResult, grid_search
-from .synthetic import (
-    PlantedBiasSpec,
-    brute_force_auc,
-    brute_force_objective,
-    generate,
-)
+from .synthetic import PlantedBiasSpec, generate
 
 __version__ = "0.1.0"
 
@@ -58,8 +53,6 @@ __all__ = [
     "PlantedBiasSpec",
     "ValidationError",
     "build_dataset",
-    "brute_force_auc",
-    "brute_force_objective",
     "cluster_reports",
     "compare",
     "generate",

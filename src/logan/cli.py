@@ -22,15 +22,8 @@ from pathlib import Path
 from typing import Any, NoReturn, Sequence, get_type_hints
 
 from . import __version__
-from .data import LoganConfig, ValidationError, standardize_features
-from .io import (
-    AuditReport,
-    LoadError,
-    file_sha256,
-    load_dataset,
-    to_plain,
-    write_jsonl,
-)
+from .data import LoganConfig, standardize_features
+from .io import AuditReport, file_sha256, load_dataset, to_plain, write_jsonl
 from .metrics import MetricKind, global_bias, random_split_baseline
 from .postprocess import cluster_reports, compare, tokenize
 from .selection import check_grid, grid_search
@@ -255,13 +248,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_audit(args, with_lambdas=True)
         if args.command == "baseline":
             return _cmd_audit(args, with_lambdas=False)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (LoadError, ValidationError, ValueError, OSError, RuntimeError) as exc:
+        return _cmd_synth(args)
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 def entrypoint() -> NoReturn:

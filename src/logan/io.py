@@ -33,13 +33,15 @@ from .workers import ForkMap
 
 
 class LoadError(ValueError):
-    """Malformed input file; carries the offending line number if known."""
+    """Malformed input file; carries the offending line number.  Its
+    ``args`` are its constructor's, so it survives pickling."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int):
+        super().__init__(message, line)
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.args[0]}"
 
 
 def _add_row(builder: DatasetBuilder, row: dict[str, Any], line_no: int) -> None:

@@ -1,4 +1,4 @@
-"""Planted-bias dataset generation and brute-force verification oracles.
+"""Planted-bias dataset generation.
 
 The generator builds a Gaussian-mixture dataset where exactly one component
 carries a large between-group accuracy gap while the corpus-level gap stays
@@ -6,18 +6,12 @@ near zero: the other components receive a small compensating tilt in the
 opposite direction, computed from the realized group counts, so the
 expected global gap is exactly zero.  This is the scenario a corpus-level
 audit misses and a local audit must find.
-
-The brute-force functions are deliberately naive reference implementations
-used to cross-check the optimized code paths; keep them independent of the
-modules they verify.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -161,65 +155,3 @@ def generate(spec: PlantedBiasSpec) -> Dataset:
             }
         )
     return build_dataset(rows)
-
-
-_BRUTE_FORCE_CAP = 2_000_000
-
-
-def brute_force_objective(
-    dataset: Dataset, k: int, lam: float
-) -> tuple[float, np.ndarray]:
-    """Exhaustive minimum of the joint objective over all k^n assignments.
-
-    Centroids sit at cluster means; empty clusters contribute nothing.
-    Only usable on tiny instances (k^n capped at 2e6).
-    """
-    n = dataset.n
-    if k**n > _BRUTE_FORCE_CAP:
-        raise ValueError(f"instance too large for enumeration: {k}^{n} > {_BRUTE_FORCE_CAP}")
-    X = dataset.feature_matrix
-    g = dataset.group_codes
-    w = dataset.correct_flags
-    best_total = math.inf
-    best_assign: tuple[int, ...] | None = None
-    for assign in itertools.product(range(k), repeat=n):
-        aa = np.asarray(assign)
-        l_c = 0.0
-        l_b = 0.0
-        for j in range(k):
-            members = aa == j
-            if not members.any():
-                continue
-            pts = X[members]
-            mu = pts.mean(axis=0)
-            l_c += float(np.sum((pts - mu) ** 2))
-            n1 = int(np.sum(members & (g == 0)))
-            n2 = int(np.sum(members & (g == 1)))
-            if n1 > 0 and n2 > 0:
-                c1 = int(np.sum(members & (g == 0) & (w == 1)))
-                c2 = int(np.sum(members & (g == 1) & (w == 1)))
-                d = c1 / n1 - c2 / n2
-                l_b -= d * d
-        total = l_c + lam * l_b
-        if total < best_total:
-            best_total = total
-            best_assign = assign
-    assert best_assign is not None
-    return best_total, np.array(best_assign, dtype=np.int64)
-
-
-def brute_force_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
-    """All-pairs AUC with 0.5 credit for score ties; the reference the
-    rank-based implementation is checked against.  A missing score is
-    NaN."""
-    labels = np.asarray(labels)
-    scores = np.asarray(scores, dtype=np.float64)
-    if np.isnan(scores).any():
-        raise ValueError("brute_force_auc requires a score on every instance")
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if len(pos) == 0 or len(neg) == 0:
-        raise ValueError("brute_force_auc requires both classes present")
-    greater = np.sum(pos[:, None] > neg[None, :])
-    ties = np.sum(pos[:, None] == neg[None, :])
-    return float((greater + 0.5 * ties) / (len(pos) * len(neg)))

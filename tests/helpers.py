@@ -1,8 +1,10 @@
-"""Shared builders for the test suite, and the one-instance-at-a-time
-references the fast solver paths are checked against."""
+"""Shared builders for the test suite, the one-instance-at-a-time
+references the fast solver paths are checked against, and the brute-force
+oracles."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -664,3 +666,65 @@ def reference_logan_fit(
         if moves == 0:
             return np.array(assign), centroids, tuple(trace), iteration, True
     return np.array(assign), centroids, tuple(trace), cfg.max_iter, False
+
+
+_BRUTE_FORCE_CAP = 2_000_000
+
+
+def brute_force_objective(
+    dataset: Dataset, k: int, lam: float
+) -> tuple[float, np.ndarray]:
+    """Exhaustive minimum of the joint objective over all k^n assignments.
+
+    Centroids sit at cluster means; empty clusters contribute nothing.
+    Only usable on tiny instances (k^n capped at 2e6).
+    """
+    n = dataset.n
+    if k**n > _BRUTE_FORCE_CAP:
+        raise ValueError(f"instance too large for enumeration: {k}^{n} > {_BRUTE_FORCE_CAP}")
+    X = dataset.feature_matrix
+    g = dataset.group_codes
+    w = dataset.correct_flags
+    best_total = math.inf
+    best_assign: tuple[int, ...] | None = None
+    for assign in itertools.product(range(k), repeat=n):
+        aa = np.asarray(assign)
+        l_c = 0.0
+        l_b = 0.0
+        for j in range(k):
+            members = aa == j
+            if not members.any():
+                continue
+            pts = X[members]
+            mu = pts.mean(axis=0)
+            l_c += float(np.sum((pts - mu) ** 2))
+            n1 = int(np.sum(members & (g == 0)))
+            n2 = int(np.sum(members & (g == 1)))
+            if n1 > 0 and n2 > 0:
+                c1 = int(np.sum(members & (g == 0) & (w == 1)))
+                c2 = int(np.sum(members & (g == 1) & (w == 1)))
+                d = c1 / n1 - c2 / n2
+                l_b -= d * d
+        total = l_c + lam * l_b
+        if total < best_total:
+            best_total = total
+            best_assign = assign
+    assert best_assign is not None
+    return best_total, np.array(best_assign, dtype=np.int64)
+
+
+def brute_force_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
+    """All-pairs AUC with 0.5 credit for score ties; the reference the
+    rank-based implementation is checked against.  A missing score is
+    NaN."""
+    labels = np.asarray(labels)
+    scores = np.asarray(scores, dtype=np.float64)
+    if np.isnan(scores).any():
+        raise ValueError("brute_force_auc requires a score on every instance")
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    if len(pos) == 0 or len(neg) == 0:
+        raise ValueError("brute_force_auc requires both classes present")
+    greater = np.sum(pos[:, None] > neg[None, :])
+    ties = np.sum(pos[:, None] == neg[None, :])
+    return float((greater + 0.5 * ties) / (len(pos) * len(neg)))

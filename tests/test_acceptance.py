@@ -14,14 +14,16 @@ from logan.io import AuditReport, LoadError, load_jsonl, write_jsonl
 from logan.metrics import MetricKind, global_bias, performance, random_split_baseline
 from logan.postprocess import cluster_reports, compare, merge_small_clusters
 from logan.selection import grid_search
-from logan.synthetic import (
-    PlantedBiasSpec,
+from logan.synthetic import PlantedBiasSpec, generate
+
+from helpers import (
+    best_single_move_delta,
     brute_force_auc,
     brute_force_objective,
-    generate,
+    make_dataset,
+    random_dataset,
+    reference_lloyd,
 )
-
-from helpers import best_single_move_delta, make_dataset, random_dataset, reference_lloyd
 
 
 def _pass(num: int, message: str) -> None:

@@ -21,12 +21,13 @@ from logan.clustering import (
 )
 from logan.data import LoganConfig, ValidationError
 from logan.postprocess import merge_small_clusters
-from logan.synthetic import PlantedBiasSpec, brute_force_objective, generate
+from logan.synthetic import PlantedBiasSpec, generate
 
 from helpers import (
     ClusterStats,
     _sweep_sequential,
     best_single_move_delta,
+    brute_force_objective,
     make_dataset,
     objective,
     random_dataset,

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -252,6 +253,14 @@ def test_invalid_utf8_names_its_line(tmp_path, suffix):
     with pytest.raises(LoadError, match="^line 3: byte 0xff is not valid UTF-8$") as err:
         load_dataset(path, suffix[1:])
     assert err.value.line == 3
+
+
+def test_load_error_survives_pickling():
+    """A LoadError crosses a pipe, as a forked loader's does, with its
+    type, text and line."""
+    err = pickle.loads(pickle.dumps(LoadError("invalid JSON", 7)))
+    assert type(err) is LoadError
+    assert str(err) == "line 7: invalid JSON" and err.line == 7
 
 
 # ----------------------------------------------- the JSONL load in two halves
@@ -639,6 +648,15 @@ def test_usage_error_exits_one_and_help_zero(planted_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["detect", "--help"])
     assert exc.value.code == 0
+    capsys.readouterr()
+    # the subcommand is required: with none, argparse stops before dispatch
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: logan")
+    assert "the following arguments are required: command" in err
+    assert "Traceback" not in err
 
 
 def test_baseline_mode(planted_file, tmp_path):
@@ -1110,21 +1128,26 @@ import json, sys
 import logan
 from logan import cli, workers
 
-def pools():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
+def loaded(*names):
+    return sorted(m for m in sys.modules if m.split(".")[0] in names)
 
-seen = {"import": pools()}
+def pools_and_test_code():
+    return [loaded("multiprocessing", "concurrent"), loaded("scipy", "hypothesis", "pytest", "_pytest")]
+
+seen = {"import": pools_and_test_code()}
 workers.usable_cpus = lambda: 2
 for command in ("detect", "baseline"):
     code = cli.main([command, "--input", sys.argv[1], "--output", sys.argv[2]])
-    seen[command] = [code, pools()]
+    seen[command] = [code, *pools_and_test_code()]
 print(json.dumps(seen))
 """
 
 
 def test_import_leaves_process_pools_unloaded(tmp_path):
     """Neither importing logan nor a two-worker detect or a baseline audit
-    of a text input imports a process pool."""
+    of a text input imports a process pool, or test code: scipy,
+    hypothesis or pytest.  Only this process's modules are seen, not those
+    of its forked children."""
     path = tmp_path / "texts.jsonl"
     write_lines(path, [json.dumps(row) for row in _text_rows()])
     src = str(Path(logan.__file__).resolve().parents[1])
@@ -1136,11 +1159,11 @@ def test_import_leaves_process_pools_unloaded(tmp_path):
         check=True,
     )
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen["import"] == []
+    assert seen["import"] == [[], []]
     for command in ("detect", "baseline"):
-        code, loaded = seen[command]
+        code, pools, test_code = seen[command]
         assert code in (0, 2)
-        assert loaded == []
+        assert pools == [] and test_code == []
 
 
 _NUMPY_MA_PROBE = """

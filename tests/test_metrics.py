@@ -17,9 +17,13 @@ from logan.metrics import (
     random_split_baseline,
     table_gaps,
 )
-from logan.synthetic import brute_force_auc
 
-from helpers import make_dataset, reference_group_gap, reference_performance
+from helpers import (
+    brute_force_auc,
+    make_dataset,
+    reference_group_gap,
+    reference_performance,
+)
 
 
 def dataset_of(labels, preds, groups=None, scores=None):

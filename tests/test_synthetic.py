@@ -3,13 +3,9 @@ import pytest
 
 from logan.data import build_dataset
 from logan.metrics import MetricKind, global_bias, group_gaps
-from logan.synthetic import (
-    PlantedBiasSpec,
-    brute_force_auc,
-    generate,
-)
+from logan.synthetic import PlantedBiasSpec, generate
 
-from helpers import assert_same_dataset, component_of
+from helpers import assert_same_dataset, brute_force_auc, component_of
 
 
 def component_gap(dataset, comp):
@@ -134,7 +130,7 @@ def test_brute_force_auc_degenerate_raises():
 
 def test_brute_force_objective_cap():
     d = generate(PlantedBiasSpec(n_per_component=10, seed=0))
-    from logan.synthetic import brute_force_objective
+    from helpers import brute_force_objective
 
     with pytest.raises(ValueError, match="too large"):
         brute_force_objective(d, k=3, lam=0.0)
